@@ -2,8 +2,8 @@
 
 Every subcommand prints structured data: JSON by default, CSV with
 ``--format csv`` (the table emitters default to CSV since they exist to be
-pasted into other tools).  Exit status is 0 on success, 1 when a verification
-or assignment run reports failures, 2 on usage errors.  Rationals on the
+pasted into other tools).  Exit status is 0 on success, 1 when a verification,
+assignment or bag build reports failure, 2 on usage errors.  Rationals on the
 command line are ``p/q`` or plain integers; float syntax is rejected.
 """
 
@@ -42,7 +42,10 @@ from .verify import VerificationReport, verify_bricks_robustness, verify_bricks_
 def _default_workers() -> int:
     env = os.environ.get("SPEEDROBUST_WORKERS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"SPEEDROBUST_WORKERS must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -102,6 +105,7 @@ def _emit_report(report: VerificationReport, fmt: str, stream) -> None:
 
 def _cmd_bags(args) -> int:
     mode = args.mode
+    ok = True
     if mode == "sand":
         if args.total is None:
             raise ValueError("--mode sand requires --total")
@@ -116,6 +120,7 @@ def _cmd_bags(args) -> int:
              "successful": solution.successful}
             for i, (a, z) in enumerate(zip(solution.bag_sizes, solution.bag_costs))
         ]
+        ok = solution.successful
     elif mode == "pebbles":
         if not args.jobs:
             raise ValueError("--mode pebbles requires --jobs")
@@ -128,13 +133,14 @@ def _cmd_bags(args) -> int:
             {"bag": i, "size": _json_value(a), "packed_all": result.packed_all}
             for i, a in enumerate(result.bag_sizes)
         ]
+        ok = result.packed_all
     else:  # auto
         if args.n is None:
             raise ValueError("--mode auto requires --n")
         profile = robust_bags(args.n, args.m, args.b)
         rows = [{"bag": i, "size": _json_value(a)} for i, a in enumerate(profile.sizes)]
     _emit_rows(rows, args.format or "json", sys.stdout)
-    return 0
+    return 0 if ok else 1
 
 
 def _cmd_assign(args) -> int:
@@ -219,7 +225,8 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify_range(args) -> int:
     report = verify_bricks_success_range(
-        args.m_max, args.lambda_max, args.rho or BRICK_ROBUSTNESS, workers=args.workers
+        args.m_max, args.lambda_max, args.rho or BRICK_ROBUSTNESS,
+        workers=args.workers if args.workers is not None else _default_workers(),
     )
     _emit_report(report, args.format or "json", sys.stdout)
     return 0 if report.ok else 1
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m-max", dest="m_max", type=int, required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
     p.add_argument("--rho", type=parse_rational)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=int, help="default: SPEEDROBUST_WORKERS, else the CPU count")
     add_format(p)
     p.set_defaults(func=_cmd_verify_range)
 

@@ -1,17 +1,17 @@
 """Core domain types: instances, bag/speed profiles, assignments, makespan.
 
 All value types are immutable and store exact rationals in canonical
-non-increasing order (constructors sort).  The JSON wire format encodes
-rationals as ``"p/q"`` strings and assignments as 0-based machine indices.
+non-increasing order (constructors sort).  Assignments are 0-based machine
+indices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
-from .numerics import format_rational, parse_rational
+from .numerics import parse_rational
 
 
 class InvalidAssignment(ValueError):
@@ -114,9 +114,6 @@ class Assignment:
             raise InvalidAssignment("machine indices must be non-negative")
         object.__setattr__(self, "machine_of_bag", owners)
 
-    def machines_used(self) -> set[int]:
-        return set(self.machine_of_bag)
-
 
 @dataclass
 class FractionalSolution:
@@ -186,24 +183,3 @@ def makespan(assignment: Assignment, bags: BagProfile, speeds: SpeedProfile) -> 
         worst = max(worst, load / speed)
     return worst
 
-
-# -- JSON wire format ---------------------------------------------------------
-
-def values_to_json(values: Sequence[Fraction]) -> list[str]:
-    return [format_rational(v) for v in values]
-
-
-def values_from_json(items: Sequence[str]) -> list[Fraction]:
-    return [parse_rational(s) for s in items]
-
-
-def instance_to_json(instance: Instance) -> dict:
-    return {
-        "jobs": values_to_json(instance.job_sizes),
-        "machines": instance.machine_count,
-        "bags": instance.bag_count,
-    }
-
-
-def instance_from_json(data: Mapping) -> Instance:
-    return Instance(values_from_json(data["jobs"]), int(data["machines"]), int(data["bags"]))

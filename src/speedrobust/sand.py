@@ -54,13 +54,13 @@ def sand_robustness(machines: int, bags: int) -> Fraction:
 def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
     """Optimal bag sizes for divisible load: weights rescaled to sum to ``total``.
 
-    With fewer bags than machines only the ``bags`` fastest machines can ever
-    receive load, so the construction runs with machines reduced to ``bags``.
+    The skeleton keeps all ``machines`` even with fewer bags: the clairvoyant
+    optimum spreads the load over every machine, so reducing the machine
+    count to ``bags`` would miss the ``sand_robustness(machines, bags)`` factor.
     """
     total = Fraction(total)
     if total <= 0:
         raise ValueError(f"total must be positive, got {total}")
-    machines = min(machines, bags)
     sk = geometric_skeleton(machines, bags)
     return BagProfile([Fraction(w, sk.weight_total) * total for w in sk.weights])
 

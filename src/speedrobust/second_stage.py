@@ -14,7 +14,6 @@ from math import lcm
 from typing import Sequence
 
 from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile
-from .numerics import ceil_div
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
@@ -25,6 +24,47 @@ def _first_positive(speeds: Sequence[Fraction | int]) -> int:
         if s > 0:
             return i
     raise Infeasible("all machine speeds are zero")
+
+
+def _largest_first(costs: list[int], caps: list[int], resting: int, trace=None) -> list[int] | None:
+    """The largest-first loop behind both assigners, on non-negative integers.
+
+    A zero-cost bag goes to ``resting``; any other bag goes to the first
+    machine with the largest cap, or None is returned when that cap is below
+    its cost.  ``caps`` is spent in place; ``trace`` gets (bag, machine,
+    before, after) for every bag tried.
+    """
+    owners = []
+    for k, cost in enumerate(costs):
+        i = caps.index(max(caps)) if cost else resting
+        c = caps[i]
+        if trace is not None:
+            trace.append((k, i, c, c - cost))
+        if c < cost:
+            return None
+        caps[i] = c - cost
+        owners.append(i)
+    return owners
+
+
+def _view(owners, steps, sizes, trace, value=int) -> Assignment | None:
+    """Public form of a kernel run; ``value`` maps kernel units back to the caller's."""
+    if trace is not None:
+        trace.extend({"bag": k, "size": sizes[k], "machine": i,
+                      "before": value(before), "after": value(after)}
+                     for k, i, before, after in steps)
+    return None if owners is None else Assignment(owners)
+
+
+def _capacity_costs(sizes, size_unit, speeds, speed_unit, rho) -> tuple[list[int], list[int]]:
+    """Kernel costs and caps: cap >= cost exactly when rho * s/speed_unit >= a/size_unit."""
+    cost_unit, cap_unit = speed_unit * rho.denominator, size_unit * rho.numerator
+    return [a * cost_unit for a in sizes], [s * cap_unit for s in speeds]
+
+
+def _coin_costs(sizes: Sequence[int], rho: Fraction) -> list[int]:
+    """Coins a bag of each integer size costs at factor ``rho``: ceil(a / rho)."""
+    return [-(-a * rho.denominator // rho.numerator) for a in sizes]
 
 
 def greedy_assignment(
@@ -41,25 +81,15 @@ def greedy_assignment(
     stays non-negative, so the makespan is at most ``rho``.
     """
     rho = Fraction(rho)
-    caps = [rho * s for s in speeds.speeds]
-    owners = [0] * len(bags.sizes)
-    resting = _first_positive(speeds.speeds)
-    for k, size in enumerate(bags.sizes):
-        if size == 0:
-            owners[k] = resting
-            if trace is not None:
-                trace.append({"bag": k, "size": size, "machine": resting,
-                              "before": caps[resting], "after": caps[resting]})
-            continue
-        i = max(range(len(caps)), key=caps.__getitem__)
-        if trace is not None:
-            trace.append({"bag": k, "size": size, "machine": i,
-                          "before": caps[i], "after": caps[i] - size})
-        if caps[i] < size:
-            return None
-        caps[i] -= size
-        owners[k] = i
-    return Assignment(owners)
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    sizes, size_unit = _to_common_ints(bags.sizes)
+    ints, speed_unit = _to_common_ints(speeds.speeds)
+    costs, caps = _capacity_costs(sizes, size_unit, ints, speed_unit, rho)
+    steps: list | None = [] if trace is not None else None
+    owners = _largest_first(costs, caps, _first_positive(ints), steps)
+    unit = size_unit * speed_unit * rho.denominator
+    return _view(owners, steps, bags.sizes, trace, lambda v: Fraction(v, unit))
 
 
 def integral_assignment(
@@ -77,38 +107,23 @@ def integral_assignment(
     build against speeds of that total.
     """
     rho = Fraction(rho)
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
     sizes = [int(a) for a in bag_sizes]
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)):
-        raise ValueError("bag sizes must be non-increasing")
+    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)) or sizes and sizes[-1] < 0:
+        raise ValueError("bag sizes must be non-increasing and non-negative")
     coins = [int(s) for s in speeds]
     if any(c < 0 for c in coins):
         raise ValueError("speeds must be non-negative integers")
-    owners = [0] * len(sizes)
-    resting = _first_positive(coins)
-    for k, size in enumerate(sizes):
-        if size == 0:
-            owners[k] = resting
-            if trace is not None:
-                trace.append({"bag": k, "size": size, "machine": resting,
-                              "before": coins[resting], "after": coins[resting]})
-            continue
-        pay = ceil_div(size * rho.denominator, rho.numerator)
-        i = max(range(len(coins)), key=coins.__getitem__)
-        if trace is not None:
-            trace.append({"bag": k, "size": size, "machine": i,
-                          "before": coins[i], "after": coins[i] - pay})
-        if coins[i] < pay:
-            return None
-        coins[i] -= pay
-        owners[k] = i
-    return Assignment(owners)
+    steps: list | None = [] if trace is not None else None
+    owners = _largest_first(_coin_costs(sizes, rho), coins, _first_positive(coins), steps)
+    return _view(owners, steps, sizes, trace)
 
 
-def _to_common_ints(values: Sequence[Fraction]) -> list[int]:
-    denom = 1
-    for v in values:
-        denom = lcm(denom, v.denominator)
-    return [int(v * denom) for v in values]
+def _to_common_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    denom = lcm(*(v.denominator for v in values))
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction, list[int]]:
@@ -187,7 +202,7 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     if not active:
         return Fraction(0), Assignment(owners)
 
-    scaled = _to_common_ints(list(active) + [s for _, s in positive])
+    scaled, _ = _to_common_ints(list(active) + [s for _, s in positive])
     int_sizes, int_speeds = scaled[: len(active)], scaled[len(active):]
     value, owner_local = _search_min_makespan(int_sizes, int_speeds)
     for k, j in enumerate(owner_local):

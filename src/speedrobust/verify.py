@@ -21,9 +21,11 @@ from .bricks import BRICK_ROBUSTNESS, robust_bags
 from .model import BagProfile, Infeasible, SpeedProfile
 from .numerics import format_rational
 from .sand import adversary_configs, sand_bags, sand_robustness
-from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
+from .second_stage import _capacity_costs, _coin_costs, _largest_first, _to_common_ints
+from .second_stage import greedy_assignment, optimal_second_stage
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
+EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids are sampled
 
 
 @dataclass
@@ -71,7 +73,8 @@ def _partitions(total: int, parts_left: int, cap: int) -> Iterator[tuple[int, ..
         return
     if parts_left == 0:
         return
-    for first in range(min(cap, total), 0, -1):
+    # Below ceil(total / parts_left) the remaining parts could not reach the total.
+    for first in range(min(cap, total), -(-total // parts_left) - 1, -1):
         for rest in _partitions(total - first, parts_left - 1, first):
             yield (first, *rest)
 
@@ -96,7 +99,7 @@ def _partition_count(total: int, parts_left: int, cap: int) -> int:
         return 0
     return sum(
         _partition_count(total - first, parts_left - 1, first)
-        for first in range(min(cap, total), 0, -1)
+        for first in range(min(cap, total), -(-total // parts_left) - 1, -1)
     )
 
 
@@ -221,35 +224,30 @@ def verify_bricks_robustness(
 
     Builds the bag profile once, then walks integral speed profiles summing
     to the job count and requires the assignment to succeed at factor 8/5 on
-    each.  Small grids (jobs <= 60 or machines <= 10) are exhaustive; larger
-    ones check ``samples`` uniformly random partitions instead.
+    each.  Grids with at most ``EXHAUSTIVE_PROFILES`` profiles are exhaustive;
+    larger ones check ``samples`` uniformly random partitions instead.  Each
+    profile runs the assigners' integer kernel directly, on coin costs
+    computed once, and builds no assignment.
     """
     start = time.perf_counter()
     profile = robust_bags(jobs, machines, machines)
-    bag_sizes = [int(a) for a in profile.sizes]
-    exhaustive = jobs <= 60 or machines <= 10
+    costs = _coin_costs([int(a) for a in profile.sizes], BRICK_ROBUSTNESS)
+    exhaustive = partition_count(jobs, machines) <= EXHAUSTIVE_PROFILES
+    rng = random.Random(seed)
+    walk = _partitions(jobs, machines, jobs) if exhaustive else (
+        _sample_partition(jobs, machines, rng) for _ in range(samples))
     checked = 0
     failures: list[dict] = []
-
-    def run_one(speeds: tuple[int, ...]) -> None:
-        nonlocal checked
+    for parts in walk:
         checked += 1
-        if integral_assignment(bag_sizes, speeds, BRICK_ROBUSTNESS) is None:
+        # The zero speeds left out of the caps can never pay a positive cost.
+        if _largest_first(costs, list(parts), 0) is None:
             failures.append({
                 "n": jobs,
                 "m": machines,
-                "speeds": list(speeds),
+                "speeds": list(parts) + [0] * (machines - len(parts)),
                 "reason": "coin assignment failed at 8/5",
             })
-
-    if exhaustive:
-        for parts in _partitions(jobs, machines, jobs):
-            run_one(parts + (0,) * (machines - len(parts)))
-    else:
-        rng = random.Random(seed)
-        for _ in range(samples):
-            parts = _sample_partition(jobs, machines, rng)
-            run_one(parts + (0,) * (machines - len(parts)))
 
     elapsed = int((time.perf_counter() - start) * 1000)
     grid = {
@@ -292,19 +290,22 @@ def verify_sand_upper(
                 "reason": "greedy assignment failed at the tight factor",
             })
 
+    # Trial speeds are r * scale / sum(raw): integers r * scale in units of sum(raw).
+    sizes, size_unit = _to_common_ints(profile.sizes)
     rng = random.Random(seed)
     for t in range(trials):
         raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
         while not any(raw):
             raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        raw.sort(reverse=True)
         total = sum(raw)
-        speeds = SpeedProfile(Fraction(r * scale, total) for r in raw)
         checked += 1
-        if greedy_assignment(profile, speeds, rho) is None:
+        costs, caps = _capacity_costs(sizes, size_unit, [r * scale for r in raw], total, rho)
+        if _largest_first(costs, caps, 0) is None:
             failures.append({
                 "kind": "random",
                 "trial": t,
-                "speeds": [format_rational(s) for s in speeds.speeds],
+                "speeds": [format_rational(Fraction(r * scale, total)) for r in raw],
                 "reason": "greedy assignment failed at the tight factor",
             })
 

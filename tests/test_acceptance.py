@@ -136,13 +136,13 @@ def test_criterion_05_near_tightness_witness():
 def test_criterion_06_sand_tightness_both_sides():
     ok = True
     for m in range(2, 7):
-        for b in range(m, 2 * m + 1):
+        for b in range(1, 2 * m + 1):
             report = verify_sand_upper(m, b, trials=1000, seed=SEED)
             ok = ok and report.ok
             probe = lower_bound_probe(m, b, sand_bags(m, b, m**b))
-            ok = ok and probe >= sand_robustness(m, b)
+            ok = ok and probe == sand_robustness(m, b)
     _criterion(6, "sand bags survive every adversary at the tight factor and "
-                  "the probe never reports below it (2 <= m <= 6, m <= b <= 2m)", ok)
+                  "the probe reports exactly it (2 <= m <= 6, 1 <= b <= 2m)", ok)
 
 
 def test_criterion_07_discretized_lower_bound_certificate():

@@ -180,6 +180,10 @@ def test_usage_errors_exit_two(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "no-such-command")
     assert code == 2
+    for algo in ("greedy", "integral"):
+        code, _, err = run_cli(capsys, "assign", "--algo", algo, "--bags", "0", "--speeds", "1",
+                               "--rho=-1")
+        assert code == 2 and "rho must be positive" in err
 
 
 def test_deterministic_output(capsys):
@@ -218,3 +222,28 @@ def test_workers_env_fallback(capsys, monkeypatch):
     assert _default_workers() == 1
     monkeypatch.delenv("SPEEDROBUST_WORKERS")
     assert _default_workers() >= 1
+
+
+def test_bad_workers_env_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SPEEDROBUST_WORKERS", "abc")
+    code, out, err = run_cli(capsys, "verify-range", "--m-max", "2", "--lambda-max", "2")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "SPEEDROBUST_WORKERS" in err
+    # commands that take no worker count do not read it
+    code, _, _ = run_cli(capsys, "surplus", "--lam", "3")
+    assert code == 0
+
+
+def test_bags_bricks_short_of_n_exits_one(capsys):
+    code, out, _ = run_cli(capsys, "bags", "--mode", "bricks", "--n", "45", "--m", "9",
+                           "--b", "9", "--rho", "159/100")
+    assert code == 1
+    rows = rows_from_json(out)
+    assert rows[0]["total"] == 44 and rows[0]["successful"] is False
+
+
+def test_bags_pebbles_unpacked_exits_one(capsys):
+    code, out, _ = run_cli(capsys, "bags", "--mode", "pebbles", "--m", "2", "--b", "2",
+                           "--jobs", "3,1", "--rho", "1")
+    assert code == 1
+    assert not any(r["packed_all"] for r in rows_from_json(out))

@@ -11,11 +11,7 @@ from speedrobust.model import (
     Instance,
     InvalidAssignment,
     SpeedProfile,
-    instance_from_json,
-    instance_to_json,
     makespan,
-    values_from_json,
-    values_to_json,
 )
 
 sizes_strategy = st.lists(
@@ -124,10 +120,3 @@ def test_fractional_solution_validation():
         FractionalSolution({1: -1}, 1)
     with pytest.raises(ValueError):
         FractionalSolution({1: 3}, 2)
-
-
-def test_json_round_trips():
-    values = [Fraction(16, 15), Fraction(3), Fraction(0)]
-    assert values_from_json(values_to_json(values)) == values
-    inst = Instance(["7/2", 1], 3, 4)
-    assert instance_from_json(instance_to_json(inst)) == inst

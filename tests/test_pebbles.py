@@ -54,7 +54,7 @@ def test_exact_capacity_fit_is_placed():
 
 def test_reference_sequence_matches_divisible_load_sizes():
     for m in range(1, 6):
-        for b in range(m, 2 * m + 1):
+        for b in range(1, 2 * m + 1):
             assert reference_sequence(m, b) == sand_bags(m, b, m).sizes
 
 

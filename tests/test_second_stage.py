@@ -165,6 +165,104 @@ def test_integral_coins_stay_integral_and_cover_generator():
             assert generator_coins <= sum(coins)
 
 
+# -- both assigners against their original loops ---------------------------------
+
+def reference_greedy(bags, speeds, rho, trace):
+    """The capacity greedy as first written, on Fraction capacities."""
+    caps = [rho * s for s in speeds.speeds]
+    owners = [0] * len(bags.sizes)
+    resting = next(i for i, s in enumerate(speeds.speeds) if s > 0)
+    for k, size in enumerate(bags.sizes):
+        if size == 0:
+            owners[k] = resting
+            trace.append({"bag": k, "size": size, "machine": resting,
+                          "before": caps[resting], "after": caps[resting]})
+            continue
+        i = max(range(len(caps)), key=caps.__getitem__)
+        trace.append({"bag": k, "size": size, "machine": i,
+                      "before": caps[i], "after": caps[i] - size})
+        if caps[i] < size:
+            return None
+        caps[i] -= size
+        owners[k] = i
+    return tuple(owners)
+
+
+def reference_integral(sizes, coins, rho, trace):
+    """The coin greedy as first written, one ceil_div per bag."""
+    coins = list(coins)
+    owners = [0] * len(sizes)
+    resting = next(i for i, c in enumerate(coins) if c > 0)
+    for k, size in enumerate(sizes):
+        if size == 0:
+            owners[k] = resting
+            trace.append({"bag": k, "size": size, "machine": resting,
+                          "before": coins[resting], "after": coins[resting]})
+            continue
+        pay = ceil_div(size * rho.denominator, rho.numerator)
+        i = max(range(len(coins)), key=coins.__getitem__)
+        trace.append({"bag": k, "size": size, "machine": i,
+                      "before": coins[i], "after": coins[i] - pay})
+        if coins[i] < pay:
+            return None
+        coins[i] -= pay
+        owners[k] = i
+    return tuple(owners)
+
+
+# Few distinct small values, so ties, zero bags and speed-0 machines are common.
+small_fractions = st.builds(Fraction, st.integers(0, 6), st.sampled_from([1, 1, 2, 3, 4]))
+speed_lists = st.lists(st.integers(0, 6), min_size=1, max_size=6).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(small_fractions, max_size=8),
+    st.lists(small_fractions, min_size=1, max_size=6).filter(any),
+    st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=7),
+)
+def test_greedy_matches_fraction_reference(sizes, speed_values, rho):
+    bags, speeds = BagProfile(sizes), SpeedProfile(speed_values)
+    expected_trace: list = []
+    expected = reference_greedy(bags, speeds, rho, expected_trace)
+    trace: list = []
+    result = greedy_assignment(bags, speeds, rho, trace)
+    assert (result and result.machine_of_bag) == expected
+    assert trace == expected_trace
+    assert all(isinstance(t["before"], Fraction) for t in trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 12), max_size=8),
+    speed_lists,
+    st.fractions(min_value=Fraction(1, 3), max_value=3, max_denominator=7),
+)
+def test_integral_matches_coin_reference(sizes, coins, rho):
+    sizes = sorted(sizes, reverse=True)
+    expected_trace: list = []
+    expected = reference_integral(sizes, coins, rho, expected_trace)
+    trace: list = []
+    result = integral_assignment(sizes, coins, rho, trace)
+    assert (result and result.machine_of_bag) == expected
+    assert trace == expected_trace
+
+
+def test_greedy_rejects_nonpositive_factor():
+    for rho in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            greedy_assignment(BagProfile([1]), SpeedProfile([1]), rho)
+        with pytest.raises(ValueError):
+            greedy_assignment(BagProfile([0, 0]), SpeedProfile([1]), rho)
+
+
+def test_integral_rejects_bad_factor_and_negative_sizes():
+    with pytest.raises(ValueError):
+        integral_assignment([1], [1], Fraction(0))
+    with pytest.raises(ValueError):
+        integral_assignment([1, -1], [1], BRICK_ROBUSTNESS)
+
+
 # -- exact oracle ----------------------------------------------------------------
 
 def test_oracle_known_values():

@@ -7,10 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
+from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
-from speedrobust.second_stage import greedy_assignment, optimal_direct
+from speedrobust import verify
+from speedrobust.bricks import robust_bags
+from speedrobust.second_stage import greedy_assignment, integral_assignment, optimal_direct
 from speedrobust.verify import (
+    EXHAUSTIVE_PROFILES,
     _coin_solution_size,
+    _partitions,
     enumerate_integral_speed_profiles,
     normalize_speeds,
     partition_count,
@@ -137,6 +142,57 @@ def test_robustness_campaign_known_grids():
         assert report.checked == partition_count(n, m)
 
 
+def test_partition_walk_keeps_its_order():
+    def reference(total, parts_left, cap):  # the walk before dead branches were cut
+        if total == 0:
+            yield ()
+            return
+        if parts_left == 0:
+            return
+        for first in range(min(cap, total), 0, -1):
+            for rest in reference(total - first, parts_left - 1, first):
+                yield (first, *rest)
+
+    for n in range(0, 19):
+        for m in range(0, 7):
+            for cap in {n, n // 2, 3}:
+                assert list(_partitions(n, m, cap)) == list(reference(n, m, cap)), (n, m, cap)
+
+
+def test_robustness_campaign_matches_public_assigner_loop():
+    for n in range(1, 13):
+        for m in range(1, 6):
+            sizes = [int(a) for a in robust_bags(n, m, m).sizes]
+            checked, failures = 0, []
+            for profile in enumerate_integral_speed_profiles(n, m):
+                speeds = [int(s) for s in profile.speeds]
+                checked += 1
+                if integral_assignment(sizes, speeds, BRICK_ROBUSTNESS) is None:
+                    failures.append({"n": n, "m": m, "speeds": speeds,
+                                     "reason": "coin assignment failed at 8/5"})
+            report = verify_bricks_robustness(n, m)
+            assert (report.checked, report.failures) == (checked, failures), (n, m)
+
+
+def test_robustness_campaign_samples_grids_over_the_budget(monkeypatch):
+    def no_walk(*args):
+        raise AssertionError("an over-budget grid must not be enumerated")
+
+    monkeypatch.setattr(verify, "_partitions", no_walk)
+    for n, m in [(200, 10), (100, 12)]:
+        assert partition_count(n, m) > EXHAUSTIVE_PROFILES
+        report = verify_bricks_robustness(n, m, samples=20, seed=1)
+        assert report.grid["mode"] == "sampled:20:seed=1"
+        assert report.ok and report.checked == 20
+
+
+def test_robustness_campaign_gate_grids_stay_exhaustive():
+    # acceptance criterion 9 and run_verification.py sweep n <= 40, m <= 8
+    assert all(partition_count(n, m) <= EXHAUSTIVE_PROFILES
+               for n in range(1, 41) for m in range(1, 9))
+    assert verify_bricks_robustness(40, 8).grid["mode"] == "exhaustive"
+
+
 def test_robustness_campaign_samples_large_grids():
     report = verify_bricks_robustness(100, 12, samples=200, seed=4)
     assert report.ok
@@ -154,6 +210,30 @@ def test_sand_campaign_clean_and_deterministic():
     payload_a = json.dumps(first.payload(include_elapsed=False), sort_keys=True)
     payload_b = json.dumps(second.payload(include_elapsed=False), sort_keys=True)
     assert payload_a == payload_b
+
+
+@pytest.mark.parametrize("machines,bags", [(3, 5), (4, 2), (2, 3)])
+def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch, machines, bags):
+    # Shaved below the tight factor some random trials fail; the integer trial
+    # path must fail on the same trials and record the same speeds.
+    shaved = sand_robustness(machines, bags) * Fraction(9, 10)
+    monkeypatch.setattr(verify, "sand_robustness", lambda m, b: shaved)
+    scale = machines**bags
+    profile = sand_bags(machines, bags, scale)
+    rng = random.Random(5)
+    expected = []
+    for t in range(200):
+        raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        while not any(raw):
+            raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        speeds = SpeedProfile(Fraction(r * scale, sum(raw)) for r in raw)
+        if greedy_assignment(profile, speeds, shaved) is None:
+            expected.append({"kind": "random", "trial": t,
+                             "speeds": [format_rational(s) for s in speeds.speeds],
+                             "reason": "greedy assignment failed at the tight factor"})
+    report = verify_sand_upper(machines, bags, trials=200, seed=5)
+    assert [f for f in report.failures if f["kind"] == "random"] == expected
+    assert 0 < len(expected) < 200, len(expected)
 
 
 def test_sand_campaign_flags_insufficient_factor():
