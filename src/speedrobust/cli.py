@@ -49,6 +49,14 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _positive_rational(text: str) -> Fraction:
+    """Argument type of every ``--rho``: an exact rational above zero."""
+    value = parse_rational(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"rho must be positive, got {text}")
+    return value
+
+
 def _parse_values(text: str) -> list[Fraction]:
     """Inline comma- or whitespace-separated rationals, or ``@file`` with a JSON array."""
     if text.startswith("@"):
@@ -125,10 +133,9 @@ def _cmd_bags(args) -> int:
         if not args.jobs:
             raise ValueError("--mode pebbles requires --jobs")
         instance = Instance(args.jobs, args.m, args.b)
-        rho = args.rho
-        if rho is None:
+        if args.rho is None:
             raise ValueError("--mode pebbles requires --rho")
-        result = pebbles_bags(instance, rho)
+        result = pebbles_bags(instance, args.rho)
         rows = [
             {"bag": i, "size": _json_value(a), "packed_all": result.packed_all}
             for i, a in enumerate(result.bag_sizes)
@@ -144,7 +151,6 @@ def _cmd_bags(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    rho = args.rho or BRICK_ROBUSTNESS
     bag_values = args.bags
     speed_values = args.speeds
     trace: list[dict] | None = [] if args.trace else None
@@ -152,14 +158,14 @@ def _cmd_assign(args) -> int:
     if args.algo == "greedy":
         bags = BagProfile(bag_values)
         speeds = SpeedProfile(speed_values)
-        assignment = greedy_assignment(bags, speeds, rho, trace)
+        assignment = greedy_assignment(bags, speeds, args.rho, trace)
         value = makespan(assignment, bags, speeds) if assignment else None
     elif args.algo == "integral":
         if any(v.denominator != 1 for v in bag_values + speed_values):
             raise ValueError("--algo integral needs integer bag sizes and speeds")
         sizes = sorted((int(v) for v in bag_values), reverse=True)
         speeds_int = [int(v) for v in speed_values]
-        assignment = integral_assignment(sizes, speeds_int, rho, trace)
+        assignment = integral_assignment(sizes, speeds_int, args.rho, trace)
         if assignment:
             value = makespan(assignment, BagProfile(sizes), SpeedProfile(speed_values))
         else:
@@ -214,7 +220,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_tables(args) -> int:
     if args.which == "f":
-        rows = factor_table(args.zmax, args.rho or BRICK_ROBUSTNESS)
+        rows = factor_table(args.zmax, args.rho)
     elif args.which == "surplus":
         rows = surplus_integer_table(args.lambda_max)
     else:  # breakpoints
@@ -225,7 +231,7 @@ def _cmd_tables(args) -> int:
 
 def _cmd_verify_range(args) -> int:
     report = verify_bricks_success_range(
-        args.m_max, args.lambda_max, args.rho or BRICK_ROBUSTNESS,
+        args.m_max, args.lambda_max, args.rho,
         workers=args.workers if args.workers is not None else _default_workers(),
     )
     _emit_report(report, args.format or "json", sys.stdout)
@@ -268,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="number of unit jobs (bricks/auto)")
     p.add_argument("--total", type=parse_rational, help="total divisible load (sand)")
     p.add_argument("--jobs", type=_parse_values, help="job sizes: inline p/q,... or @file")
-    p.add_argument("--rho", type=parse_rational, help="target robustness factor")
+    p.add_argument("--rho", type=_positive_rational, help="target factor (bricks: default 8/5)")
     add_format(p)
     p.set_defaults(func=_cmd_bags)
 
@@ -276,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["greedy", "integral", "optimal"], required=True)
     p.add_argument("--bags", type=_parse_values, required=True)
     p.add_argument("--speeds", type=_parse_values, required=True)
-    p.add_argument("--rho", type=parse_rational)
+    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
     p.add_argument("--trace", action="store_true", help="include per-step capacity columns")
     add_format(p)
     p.set_defaults(func=_cmd_assign)
@@ -293,14 +299,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=["f", "surplus", "breakpoints"], required=True)
     p.add_argument("--zmax", type=int, default=60)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, default=60)
-    p.add_argument("--rho", type=parse_rational)
+    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
     add_format(p)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("verify-range", help="sweep the coin construction for total size >= n")
     p.add_argument("--m-max", dest="m_max", type=int, required=True)
     p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
-    p.add_argument("--rho", type=parse_rational)
+    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
     p.add_argument("--workers", type=int, help="default: SPEEDROBUST_WORKERS, else the CPU count")
     add_format(p)
     p.set_defaults(func=_cmd_verify_range)

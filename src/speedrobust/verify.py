@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, Sequence
 
-from .bricks import BRICK_ROBUSTNESS, robust_bags
+from .bricks import BRICK_ROBUSTNESS, _coin_total, robust_bags
 from .model import BagProfile, Infeasible, SpeedProfile
 from .numerics import format_rational
 from .sand import adversary_configs, sand_bags, sand_robustness
@@ -91,39 +91,44 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
         yield SpeedProfile(parts + (0,) * (machines - len(parts)))
 
 
-@lru_cache(maxsize=None)
-def _partition_count(total: int, parts_left: int, cap: int) -> int:
-    if total == 0:
-        return 1
-    if parts_left == 0:
-        return 0
-    return sum(
-        _partition_count(total - first, parts_left - 1, first)
-        for first in range(min(cap, total), -(-total // parts_left) - 1, -1)
-    )
-
-
 def partition_count(total: int, max_parts: int) -> int:
-    """Number of partitions of ``total`` into at most ``max_parts`` parts."""
-    return _partition_count(total, max_parts, total)
+    """Partitions of ``total`` into at most ``max_parts`` parts: p(n, k) = p(n, k-1) + p(n-k, k)."""
+    row = [1] + [0] * total
+    for k in range(1, min(max_parts, total) + 1):
+        for n in range(k, total + 1):
+            row[n] += row[n - k]
+    return row[total] if total >= 0 else 0
 
 
-def _sample_partition(total: int, max_parts: int, rng: random.Random) -> tuple[int, ...]:
-    parts: list[int] = []
-    cap = total
-    parts_left = max_parts
-    while total > 0:
-        pick = rng.randrange(_partition_count(total, parts_left, cap))
-        for first in range(min(cap, total), 0, -1):
-            ways = _partition_count(total - first, parts_left - 1, first)
-            if pick < ways:
-                parts.append(first)
-                total -= first
-                cap = first
-                parts_left -= 1
-                break
-            pick -= ways
-    return tuple(parts)
+def _sample_partitions(
+    total: int, max_parts: int, samples: int, rng: random.Random
+) -> Iterator[tuple[int, ...]]:
+    """``samples`` uniform draws among :func:`_partitions`; counts are memoized per call."""
+
+    @lru_cache(maxsize=None)
+    def count(total: int, parts_left: int, cap: int) -> int:
+        if total == 0:
+            return 1
+        if parts_left == 0:
+            return 0
+        return sum(
+            count(total - first, parts_left - 1, first)
+            for first in range(min(cap, total), -(-total // parts_left) - 1, -1)
+        )
+
+    for _ in range(samples):
+        parts: list[int] = []
+        left, cap, parts_left = total, total, max_parts
+        while left > 0:
+            pick = rng.randrange(count(left, parts_left, cap))
+            for first in range(min(cap, left), 0, -1):
+                ways = count(left - first, parts_left - 1, first)
+                if pick < ways:
+                    break
+                pick -= ways
+            parts.append(first)
+            left, cap, parts_left = left - first, first, parts_left - 1
+        yield tuple(parts)
 
 
 def robustness_ratio(
@@ -139,35 +144,13 @@ def robustness_ratio(
 
 # -- campaign: coin construction reaches total size n --------------------------
 
-def _coin_solution_size(jobs: int, machines: int, rho_num: int, rho_den: int) -> int:
-    """Total size of the cost-batched coin construction, in plain integers.
-
-    Equals solution_size(bricks_by_cost(jobs, machines, machines), rho); the
-    sweep below runs this several hundred thousand times, so it avoids
-    Fraction churn in the inner loop.  The agreement with the library route
-    is pinned by tests.
-    """
-    coins = jobs
-    bags_left = machines
-    size = 0
-    while bags_left > 0 and coins > 0:
-        z = -(-coins // machines)
-        x = -(-(coins - machines * (z - 1)) // z)
-        if x > bags_left:
-            x = bags_left
-        coins -= x * z
-        bags_left -= x
-        size += x * ((z * rho_num) // rho_den)
-    return size
-
-
 def _success_range_chunk(args: tuple) -> tuple[int, list[dict]]:
     machine_values, lambda_max, rho_num, rho_den = args
     checked = 0
     failures: list[dict] = []
     for m in machine_values:
         for n in range(1, lambda_max * m + 1):
-            size = _coin_solution_size(n, m, rho_num, rho_den)
+            size = _coin_total(n, m, rho_num, rho_den)
             checked += 1
             if size < n:
                 failures.append({"n": n, "m": m, "reason": f"total size {size} < {n}"})
@@ -233,9 +216,8 @@ def verify_bricks_robustness(
     profile = robust_bags(jobs, machines, machines)
     costs = _coin_costs([int(a) for a in profile.sizes], BRICK_ROBUSTNESS)
     exhaustive = partition_count(jobs, machines) <= EXHAUSTIVE_PROFILES
-    rng = random.Random(seed)
-    walk = _partitions(jobs, machines, jobs) if exhaustive else (
-        _sample_partition(jobs, machines, rng) for _ in range(samples))
+    walk = (_partitions(jobs, machines, jobs) if exhaustive
+            else _sample_partitions(jobs, machines, samples, random.Random(seed)))
     checked = 0
     failures: list[dict] = []
     for parts in walk:

@@ -135,12 +135,15 @@ def test_criterion_05_near_tightness_witness():
 
 def test_criterion_06_sand_tightness_both_sides():
     ok = True
+    checked = 0
     for m in range(2, 7):
         for b in range(1, 2 * m + 1):
             report = verify_sand_upper(m, b, trials=1000, seed=SEED)
             ok = ok and report.ok
+            checked += report.checked
             probe = lower_bound_probe(m, b, sand_bags(m, b, m**b))
             ok = ok and probe == sand_robustness(m, b)
+    ok = ok and checked == 40_200  # b adversary configurations + 1,000 trials per cell
     _criterion(6, "sand bags survive every adversary at the tight factor and "
                   "the probe reports exactly it (2 <= m <= 6, 1 <= b <= 2m)", ok)
 
@@ -201,6 +204,7 @@ def test_criterion_09_end_to_end_bricks_robustness():
             report = verify_bricks_robustness(n, m)
             ok = ok and report.ok
             checked += report.checked
+    ok = ok and checked == 184_649
     _criterion(9, f"coin assignment placed the dispatcher bags on all {checked} "
                   "integral speed profiles (m <= 8, n <= 40)", ok)
 

@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -22,6 +23,16 @@ from speedrobust.bricks import (
 from speedrobust.model import FractionalSolution, Infeasible
 from speedrobust.numerics import floor_scale
 from speedrobust.sand import sand_robustness
+
+
+def _per_bag_costs(n, m, b):
+    # reference: one payment of ceil(coins / m) per bag, 0 once the coins run out
+    coins, costs = n, []
+    for _ in range(b):
+        z = -(-coins // m) if coins > 0 else 0
+        costs.append(z)
+        coins -= z
+    return costs
 
 
 def test_construction_known_profiles():
@@ -64,6 +75,7 @@ def test_construction_validates_inputs():
 )
 def test_construction_size_cost_relation(n, m, b):
     sol = bricks_bags(n, m, b, BRICK_ROBUSTNESS)
+    assert list(sol.bag_costs) == _per_bag_costs(n, m, b)
     assert sum(sol.bag_costs) <= n
     assert all(sol.bag_costs[i] >= sol.bag_costs[i + 1] for i in range(b - 1))
     for a, z in zip(sol.bag_sizes, sol.bag_costs):
@@ -104,7 +116,7 @@ def test_cost_batched_matches_one_by_one_everywhere():
     # identical cost multisets across the whole small grid
     for m in range(1, 21):
         for n in range(1, 501):
-            one_by_one = Counter(z for z in bricks_bags(n, m, m, BRICK_ROBUSTNESS).bag_costs if z > 0)
+            one_by_one = Counter(z for z in _per_bag_costs(n, m, m) if z > 0)
             batched = {z: int(x) for z, x in bricks_by_cost(n, m, m).counts.items()}
             assert batched == dict(one_by_one), (n, m)
 
@@ -114,6 +126,29 @@ def test_fractional_known_values():
     assert counts == {5: Fraction(9, 5), 4: Fraction(9, 4), 3: Fraction(3), 2: Fraction(39, 20)}
     sol = bricks_fractional(11, 3, 3)
     assert solution_size(sol, BRICK_ROBUSTNESS) == Fraction(23, 2)
+
+
+def _fractional_counts(jobs, machines, bags):
+    # reference: the cost-indexed fractional loop, counts left unrounded
+    remaining_bags, coins, counts = bags, jobs, {}
+    while remaining_bags > 0 and coins > 0:
+        z = math.ceil(coins / machines)
+        x = min(remaining_bags, (coins - machines * (z - 1)) / z)
+        remaining_bags -= x
+        coins -= x * z
+        counts[z] = x
+    return counts
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 7), max_value=200, max_denominator=12)
+
+
+@settings(max_examples=80)
+@given(st.one_of(st.tuples(st.integers(1, 400), st.integers(1, 15), st.integers(1, 20)).map(
+                     lambda t: tuple(map(Fraction, t))),
+                 st.tuples(positive_rationals, positive_rationals, positive_rationals)))
+def test_fractional_counts_match_reference_loop(args):
+    assert bricks_fractional(*args).counts == _fractional_counts(*args), args
 
 
 @settings(max_examples=40)

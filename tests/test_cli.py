@@ -186,6 +186,19 @@ def test_usage_errors_exit_two(capsys):
         assert code == 2 and "rho must be positive" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("bags", "--mode", "bricks", "--n", "3", "--m", "2", "--b", "2"),
+    ("bags", "--mode", "pebbles", "--jobs", "1,1", "--m", "2", "--b", "2"),
+    ("assign", "--algo", "greedy", "--bags", "1", "--speeds", "1"),
+    ("assign", "--algo", "integral", "--bags", "1", "--speeds", "1"),
+    ("tables", "--which", "f"),
+    ("verify-range", "--m-max", "2", "--lambda-max", "2", "--workers", "1"),
+])
+def test_zero_rho_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--rho", "0")
+    assert code == 2 and "rho must be positive" in err and out == ""
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "tables", "--which", "breakpoints", "--lambda-max", "61")
     _, second, _ = run_cli(capsys, "tables", "--which", "breakpoints", "--lambda-max", "61")

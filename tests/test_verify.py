@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_by_cost, solution_size
+from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_total, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
 from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
@@ -14,7 +14,6 @@ from speedrobust.bricks import robust_bags
 from speedrobust.second_stage import greedy_assignment, integral_assignment, optimal_direct
 from speedrobust.verify import (
     EXHAUSTIVE_PROFILES,
-    _coin_solution_size,
     _partitions,
     enumerate_integral_speed_profiles,
     normalize_speeds,
@@ -105,13 +104,13 @@ def test_robustness_ratio_known_cases():
 
 
 def test_fast_sweep_size_matches_library_route():
-    rho = BRICK_ROBUSTNESS
     rng = random.Random(3)
     pairs = [(n, m) for m in range(1, 9) for n in range(1, 3 * m + 1)]
     pairs += [(rng.randint(1, 60 * 20), rng.randint(1, 20)) for _ in range(200)]
-    for n, m in pairs:
-        fast = _coin_solution_size(n, m, rho.numerator, rho.denominator)
-        assert fast == solution_size(bricks_by_cost(n, m, m), rho), (n, m)
+    for rho in (BRICK_ROBUSTNESS, Fraction(159, 100)):
+        for n, m in pairs:
+            fast = _coin_total(n, m, rho.numerator, rho.denominator)
+            assert fast == solution_size(bricks_by_cost(n, m, m), rho), (n, m, rho)
 
 
 def test_success_range_clean_at_target_factor():
@@ -191,6 +190,14 @@ def test_robustness_campaign_gate_grids_stay_exhaustive():
     assert all(partition_count(n, m) <= EXHAUSTIVE_PROFILES
                for n in range(1, 41) for m in range(1, 9))
     assert verify_bricks_robustness(40, 8).grid["mode"] == "exhaustive"
+
+
+def test_partition_counts_leave_no_module_memo():
+    assert partition_count(200, 10) > EXHAUSTIVE_PROFILES
+    assert partition_count(100, 12) > EXHAUSTIVE_PROFILES
+    assert verify_bricks_robustness(100, 12, samples=20, seed=2).checked == 20
+    memos = [value for value in vars(verify).values() if hasattr(value, "cache_info")]
+    assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 def test_robustness_campaign_samples_large_grids():
