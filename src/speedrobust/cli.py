@@ -30,8 +30,8 @@ from .numerics import format_rational, parse_rational
 from .pebbles import pebbles_bags
 from .sand import (
     adversary_configs,
+    adversary_optima,
     geometric_skeleton,
-    lower_bound_probe,
     sand_bags,
     sand_robustness,
 )
@@ -49,9 +49,17 @@ def _default_workers() -> int:
     return os.cpu_count() or 1
 
 
+def _rational(text: str) -> Fraction:
+    """Argument type of a single rational; argparse prints the reason a literal is refused."""
+    try:
+        return parse_rational(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _positive_rational(text: str) -> Fraction:
     """Argument type of every ``--rho``: an exact rational above zero."""
-    value = parse_rational(text)
+    value = _rational(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"rho must be positive, got {text}")
     return value
@@ -59,7 +67,9 @@ def _positive_rational(text: str) -> Fraction:
 
 def _parse_values(text: str) -> list[Fraction]:
     """Inline comma- or whitespace-separated rationals, or ``@file`` with a JSON array."""
-    if text.startswith("@"):
+    try:
+        if not text.startswith("@"):
+            return [parse_rational(part) for part in text.replace(",", " ").split()]
         with open(text[1:]) as fh:
             data = json.load(fh)
         values = []
@@ -68,7 +78,8 @@ def _parse_values(text: str) -> list[Fraction]:
                 raise ValueError(f"float {v!r} in {text[1:]}; use 'p/q' strings or integers")
             values.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
         return values
-    return [parse_rational(part) for part in text.replace(",", " ").split()]
+    except (ValueError, TypeError, OSError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _json_value(value: Fraction):
@@ -196,16 +207,12 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    optima = adversary_optima(args.m, args.b, BagProfile(args.bags) if args.bags else None)
     skeleton = geometric_skeleton(args.m, args.b)
-    if args.bags:
-        profile = BagProfile(args.bags)
-    else:
-        profile = sand_bags(args.m, args.b, skeleton.scale)
     bound = sand_robustness(args.m, args.b)
-    value = lower_bound_probe(args.m, args.b, profile)
+    value = max(optima)
     rows = []
-    for k, config in enumerate(adversary_configs(args.m, args.b)):
-        best, _ = optimal_second_stage(profile, config)
+    for k, (config, best) in enumerate(zip(adversary_configs(args.m, args.b), optima)):
         rows.append({
             "config": k,
             "weight": str(skeleton.weights[k]),
@@ -272,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True, help="number of machines")
     p.add_argument("--b", type=int, required=True, help="number of bags")
     p.add_argument("--n", type=int, help="number of unit jobs (bricks/auto)")
-    p.add_argument("--total", type=parse_rational, help="total divisible load (sand)")
+    p.add_argument("--total", type=_rational, help="total divisible load (sand)")
     p.add_argument("--jobs", type=_parse_values, help="job sizes: inline p/q,... or @file")
     p.add_argument("--rho", type=_positive_rational, help="target factor (bricks: default 8/5)")
     add_format(p)
@@ -320,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_robust)
 
     p = sub.add_parser("surplus", help="normalized surplus at one jobs-per-machine ratio")
-    p.add_argument("--lam", type=parse_rational, required=True,
+    p.add_argument("--lam", type=_rational, required=True,
                    help="jobs-per-machine ratio as p/q")
     add_format(p)
     p.set_defaults(func=_cmd_surplus)

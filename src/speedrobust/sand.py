@@ -9,11 +9,13 @@ arbitrary bag profile survives that adversary family.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .model import BagProfile, ScaleMismatch, SpeedProfile
-from .second_stage import optimal_second_stage
+from .model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
+from .second_stage import _check_oracle_size, _search_min_makespan, _to_common_ints
 
 
 @dataclass(frozen=True)
@@ -33,9 +35,26 @@ class GeometricSkeleton:
     weight_total: int
 
 
+def _check_printable_scale(machines: int, bags: int) -> None:
+    """Refuse a scale machines**bags with more decimal digits than str() allows.
+
+    The power is below 2**(bags * bit_length), so at most 3 * limit bits is
+    under 10**limit.  Past that, when bags * (bit_length - 1) reaches the bit
+    length of 10**limit the power is too large without being computed;
+    otherwise it has fewer than twice that many bits and is compared exactly.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit or bags * machines.bit_length() <= 3 * limit:
+        return
+    bound = 10**limit
+    if bags * (machines.bit_length() - 1) >= bound.bit_length() or machines**bags >= bound:
+        raise SizeLimit(f"scale {machines}**{bags} has more than {limit} decimal digits")
+
+
 def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
     if machines < 1 or bags < 1:
         raise ValueError("machines and bags must both be >= 1")
+    _check_printable_scale(machines, bags)
     weights = tuple(machines ** (bags - j) * (machines - 1) ** (j - 1) for j in range(1, bags + 1))
     scale = machines**bags
     return GeometricSkeleton(machines, bags, weights, scale, scale - (machines - 1) ** bags)
@@ -65,21 +84,43 @@ def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
     return BagProfile([Fraction(w, sk.weight_total) * total for w in sk.weights])
 
 
-def adversary_configs(machines: int, bags: int) -> list[SpeedProfile]:
-    """The adversary's speed configurations, one per bag index.
+def _adversary_speeds(sk: GeometricSkeleton) -> Iterator[list[int]]:
+    """Integer speeds of each adversary configuration, non-increasing.
 
     Configuration k has one fast machine of speed scale - (machines-1) *
     weights[k] and machines-1 slow machines of speed weights[k]; every
-    configuration sums to scale.
+    configuration sums to scale.  A single machine faces one configuration.
     """
-    sk = geometric_skeleton(machines, bags)
-    if machines == 1:
-        return [SpeedProfile([sk.scale])]
-    configs = []
+    if sk.machines == 1:
+        yield [sk.scale]
+        return
     for w in sk.weights:
-        fast = sk.scale - (machines - 1) * w
-        configs.append(SpeedProfile([fast] + [w] * (machines - 1)))
-    return configs
+        yield [sk.scale - (sk.machines - 1) * w] + [w] * (sk.machines - 1)
+
+
+def adversary_configs(machines: int, bags: int) -> list[SpeedProfile]:
+    """The adversary's speed configurations, one per bag index (see ``_adversary_speeds``)."""
+    return [SpeedProfile(speeds) for speeds in _adversary_speeds(geometric_skeleton(machines, bags))]
+
+
+def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None) -> list[Fraction]:
+    """Optimal second-stage makespan of ``profile`` on each adversary configuration.
+
+    ``profile`` defaults to the sand profile at the skeleton scale.  The
+    oracle's size caps are checked before the skeleton is built.  The profile
+    is scaled to integers once; each configuration is searched on its
+    integer speeds directly.
+    """
+    _check_oracle_size(bags, machines)
+    sk = geometric_skeleton(machines, bags)
+    if profile is None:
+        profile = sand_bags(machines, bags, sk.scale)
+    if len(profile.sizes) != bags:
+        raise ScaleMismatch(f"profile has {len(profile.sizes)} bags, expected {bags}")
+    if profile.total != sk.scale:
+        raise ScaleMismatch(f"profile sums to {profile.total}, expected scale {sk.scale}")
+    sizes, denom = _to_common_ints([a for a in profile.sizes if a > 0])
+    return [_search_min_makespan(sizes, speeds)[0] / denom for speeds in _adversary_speeds(sk)]
 
 
 def lower_bound_probe(machines: int, bags: int, profile: BagProfile) -> Fraction:
@@ -89,15 +130,7 @@ def lower_bound_probe(machines: int, bags: int, profile: BagProfile) -> Fraction
     adversary configuration sums to that, so the clairvoyant optimum is 1 and
     the returned makespan is directly a robustness ratio).  For the optimal
     sand profile the result is exactly the tight robustness factor; for any
-    other profile it can only be larger.
+    other profile it can only be larger.  Raises SizeLimit beyond the
+    oracle's caps (16 bags, 8 machines).
     """
-    sk = geometric_skeleton(machines, bags)
-    if len(profile.sizes) != bags:
-        raise ScaleMismatch(f"profile has {len(profile.sizes)} bags, expected {bags}")
-    if profile.total != sk.scale:
-        raise ScaleMismatch(f"profile sums to {profile.total}, expected scale {sk.scale}")
-    worst = Fraction(0)
-    for config in adversary_configs(machines, bags):
-        best, _ = optimal_second_stage(profile, config)
-        worst = max(worst, best)
-    return worst
+    return max(adversary_optima(machines, bags, profile))

@@ -127,62 +127,82 @@ def _to_common_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
 
 
 def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction, list[int]]:
-    """Exact min makespan of integer sizes over positive integer speeds.
+    """Exact min makespan of positive integer sizes over positive integer speeds.
 
-    Depth-first over sizes in the given (non-increasing) order.  Machines in
-    the same residual state (load, speed) are interchangeable, so only one of
-    them is branched on per step; branches whose partial makespan already
-    matches the incumbent are cut.
+    Times are integers in units of unit = lcm(speeds): a load on machine j
+    finishes at load * mult[j], mult[j] = unit // speeds[j].  Depth-first
+    over sizes in the given (non-increasing) order.  Machines in the same
+    residual state (time, speed) are interchangeable, so only the first of
+    them is branched on per step; a branch is cut when its finishing time
+    reaches the incumbent.  A leaf replaces the incumbent even when it only
+    ties it, so the witness is the last optimal leaf reached.
+
+    Every makespan is at least floor = ceil(total * unit / sum(speeds)), so
+    an incumbent at floor is optimal.  If the bound is exact the search stops
+    there; otherwise only branches already at the incumbent go on, since
+    only they can reach a (tying) leaf.
     """
-    m = len(speeds)
-    total = sum(sizes)
+    m, n = len(speeds), len(sizes)
+    unit = lcm(*speeds)
+    mult = [unit // s for s in speeds]
+    steps = [[a * x for x in mult] for a in sizes]
 
-    # Warm start: each item to the machine minimizing the resulting ratio.
-    loads = [0] * m
-    warm = [0] * len(sizes)
-    for k, a in enumerate(sizes):
-        i = min(range(m), key=lambda j: Fraction(loads[j] + a, speeds[j]))
-        loads[i] += a
+    # Warm start: each item to the machine minimizing the resulting time.
+    times = [0] * m
+    warm = [0] * n
+    for k, step in enumerate(steps):
+        finishes = [t + x for t, x in zip(times, step)]
+        i = finishes.index(min(finishes))
+        times[i] = finishes[i]
         warm[k] = i
-    start = max(Fraction(loads[j], speeds[j]) for j in range(m))
+    best = max(times)
+    best_owner = warm
+    floor, rest = divmod(sum(sizes) * unit, sum(speeds))
+    exact = not rest
+    floor += not exact
 
-    best_value = start
-    best_owner = list(warm)
-    floor_value = Fraction(total, sum(speeds))
+    # Machine j with the earlier machines of its speed: j is skipped while one of them has its time.
+    machines = [(j, [i for i in range(j) if speeds[i] == speeds[j]]) for j in range(m)]
+    times = [0] * m
+    owner = [0] * n
 
-    loads = [0] * m
-    owner = [0] * len(sizes)
-
-    def dfs(k: int, current: Fraction) -> None:
-        nonlocal best_value, best_owner
-        if best_value == floor_value:
-            return
-        if k == len(sizes):
-            best_value = current
+    def dfs(k: int, current: int) -> None:
+        nonlocal best, best_owner
+        if k == n:
+            best = current
             best_owner = owner[:]
             return
-        a = sizes[k]
+        step = steps[k]
         candidates = []
-        seen = set()
-        for j in range(m):
-            key = (loads[j], speeds[j])
-            if key in seen:
-                continue
-            seen.add(key)
-            ratio = Fraction(loads[j] + a, speeds[j])
-            if ratio >= best_value:
-                continue
-            candidates.append((ratio, j))
+        for j, earlier in machines:
+            t = times[j]
+            for i in earlier:
+                if times[i] == t:
+                    break
+            else:
+                finish = t + step[j]
+                if finish < best:
+                    candidates.append((finish, j))
         candidates.sort()
-        for ratio, j in candidates:
-            if ratio >= best_value:
-                continue
-            loads[j] += a
+        for finish, j in candidates:
+            if finish >= best:
+                break
+            times[j] = finish
             owner[k] = j
-            dfs(k + 1, max(current, ratio))
-            loads[j] -= a
-    dfs(0, Fraction(0))
-    return best_value, best_owner
+            dfs(k + 1, finish if finish > current else current)
+            times[j] -= step[j]
+            if best <= floor and (exact or current < best):
+                return
+    if best > floor:
+        dfs(0, 0)
+    return Fraction(best, unit), best_owner
+
+
+def _check_oracle_size(bags: int, machines: int) -> None:
+    if bags > MAX_ORACLE_BAGS or machines > MAX_ORACLE_MACHINES:
+        raise SizeLimit(
+            f"oracle accepts at most {MAX_ORACLE_BAGS} bags and {MAX_ORACLE_MACHINES} machines"
+        )
 
 
 def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fraction, Assignment]:
@@ -191,10 +211,7 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     Desk-scale only (at most 16 bags, 8 machines); raises SizeLimit beyond
     that rather than degrading to an approximation.
     """
-    if len(bags.sizes) > MAX_ORACLE_BAGS or len(speeds.speeds) > MAX_ORACLE_MACHINES:
-        raise SizeLimit(
-            f"oracle accepts at most {MAX_ORACLE_BAGS} bags and {MAX_ORACLE_MACHINES} machines"
-        )
+    _check_oracle_size(len(bags.sizes), len(speeds.speeds))
     resting = _first_positive(speeds.speeds)
     positive = [(i, s) for i, s in enumerate(speeds.speeds) if s > 0]
     active = [a for a in bags.sizes if a > 0]

@@ -199,6 +199,40 @@ def test_zero_rho_exits_two(capsys, argv):
     assert code == 2 and "rho must be positive" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ("surplus", "--lam", "1.5"),  # a rational
+    ("tables", "--which", "f", "--rho", "1.5"),  # a positive rational
+    ("bags", "--mode", "sand", "--m", "2", "--b", "2", "--total", "1.5"),
+    ("probe", "--m", "2", "--b", "2", "--bags", "1.5,2.5"),  # a list of rationals
+    ("assign", "--algo", "greedy", "--bags", "1", "--speeds", "1e3"),
+])
+def test_float_literals_exit_two_with_the_reason(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "floats are rejected" in err and out == ""
+
+
+def test_missing_jobs_file_is_a_usage_error(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "bags", "--mode", "pebbles", "--m", "2", "--b", "2",
+                             "--jobs", f"@{tmp_path / 'absent.json'}", "--rho", "2")
+    assert code == 2 and "absent.json" in err and out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("probe", "--m", "9", "--b", "2"),
+    ("probe", "--m", "2", "--b", "17"),
+    ("probe", "--m", "3000", "--b", "3000"),
+])
+def test_probe_beyond_oracle_caps_exits_two(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and "oracle accepts at most 16 bags and 8 machines" in err and out == ""
+
+
+def test_sand_bags_with_unprintable_scale_exit_two(capsys):
+    code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "3000", "--b", "3000",
+                             "--total", "1")
+    assert code == 2 and "decimal digits" in err and out == ""
+
+
 def test_deterministic_output(capsys):
     _, first, _ = run_cli(capsys, "tables", "--which", "breakpoints", "--lambda-max", "61")
     _, second, _ = run_cli(capsys, "tables", "--which", "breakpoints", "--lambda-max", "61")
@@ -226,6 +260,21 @@ def test_probe_reports_weight_sequence(capsys):
     code, out, _ = run_cli(capsys, "probe", "--m", "2", "--b", "4")
     assert code == 0
     assert [r["weight"] for r in rows_from_json(out)] == ["8", "4", "2", "1"]
+
+
+def test_probe_rows_carry_each_configuration_optimum(capsys):
+    code, out, _ = run_cli(capsys, "probe", "--m", "3", "--b", "3", "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == [
+        "config,weight,speeds,best_makespan,probe,tight_bound",
+        "0,9,9 9 9,27/19,27/19,27/19",
+        "1,6,15 6 6,27/19,27/19,27/19",
+        "2,4,19 4 4,27/19,27/19,27/19",
+    ]
+    code, out, _ = run_cli(capsys, "probe", "--m", "2", "--b", "2", "--bags", "3,1")
+    assert code == 0
+    assert [(r["speeds"], r["best_makespan"], r["probe"]) for r in rows_from_json(out)] == [
+        ("2 2", "3/2", "3/2"), ("3 1", "1", "3/2")]
 
 
 def test_workers_env_fallback(capsys, monkeypatch):

@@ -1,18 +1,22 @@
 import random
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from speedrobust.model import BagProfile, ScaleMismatch, SpeedProfile
+from speedrobust import sand
+from speedrobust.model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
 from speedrobust.sand import (
     adversary_configs,
+    adversary_optima,
     geometric_skeleton,
     lower_bound_probe,
     sand_bags,
     sand_robustness,
 )
-from speedrobust.second_stage import greedy_assignment
+from speedrobust.second_stage import greedy_assignment, optimal_second_stage
 
 
 def test_skeleton_prefix_sums_exact():
@@ -140,3 +144,70 @@ def test_probe_requires_exact_scale():
 def test_probe_of_sand_profile_never_beats_tight_factor(m, b):
     profile = sand_bags(m, b, m**b)
     assert lower_bound_probe(m, b, profile) == sand_robustness(m, b)
+
+
+def former_probe(m, b, profile):
+    """The probe as first written: the public oracle on every adversary configuration."""
+    return [optimal_second_stage(profile, config)[0] for config in adversary_configs(m, b)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.booleans(), st.integers())
+def test_probe_equals_former_per_configuration_oracle(m, b, integral, seed):
+    rng = random.Random(seed)
+    scale = m**b
+    if integral:  # b integers summing to the scale, zeros allowed
+        cuts = sorted(rng.randint(0, scale) for _ in range(b - 1))
+        sizes = [hi - lo for lo, hi in zip([0] + cuts, cuts + [scale])]
+    else:  # b positive rationals rescaled to the scale
+        raw = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(b)]
+        sizes = [r * scale / sum(raw) for r in raw]
+    profile = BagProfile(sizes)
+    expected = former_probe(m, b, profile)
+    assert adversary_optima(m, b, profile) == expected
+    assert lower_bound_probe(m, b, profile) == max(expected)
+
+
+def test_optima_default_to_the_sand_profile():
+    for m, b in [(1, 3), (2, 4), (3, 3), (4, 2)]:
+        profile = sand_bags(m, b, m**b)
+        assert adversary_optima(m, b) == adversary_optima(m, b, profile) == former_probe(m, b, profile)
+
+
+def test_probe_refuses_oracle_sizes_before_the_skeleton(monkeypatch):
+    def no_skeleton(machines, bags):
+        raise AssertionError("skeleton built before the size check")
+    monkeypatch.setattr(sand, "geometric_skeleton", no_skeleton)
+    for m, b in [(9, 2), (2, 17), (3000, 3000)]:
+        with pytest.raises(SizeLimit):
+            lower_bound_probe(m, b, BagProfile([1] * b))
+
+
+@pytest.fixture
+def str_digits_640():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    yield 640
+    sys.set_int_max_str_digits(limit)
+
+
+def test_skeleton_refuses_unprintable_scales(str_digits_640):
+    # 10**639 has 640 digits and prints; 10**640 has 641 and does not
+    assert len(str(geometric_skeleton(10, 639).scale)) == 640
+    with pytest.raises(SizeLimit):
+        geometric_skeleton(10, 640)
+    # near the boundary the power is compared exactly: 3**1341 < 10**640 <= 3**1342
+    assert 3**1341 < 10**640 <= 3**1342
+    geometric_skeleton(3, 1341)
+    with pytest.raises(SizeLimit):
+        geometric_skeleton(3, 1342)
+    with pytest.raises(SizeLimit):
+        sand_bags(3, 1342, 1)
+
+
+def test_skeleton_refuses_huge_scales_at_once():
+    start = time.perf_counter()
+    for m, b in [(3000, 3000), (10**6, 10**6), (2, 10**9)]:
+        with pytest.raises(SizeLimit):
+            geometric_skeleton(m, b)
+    assert time.perf_counter() - start < 0.5

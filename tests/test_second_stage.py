@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_bags, trim_to_total
 from speedrobust.model import (
@@ -16,6 +16,7 @@ from speedrobust.model import (
 )
 from speedrobust.numerics import ceil_div
 from speedrobust.second_stage import (
+    _search_min_makespan,
     greedy_assignment,
     integral_assignment,
     optimal_direct,
@@ -328,6 +329,80 @@ def test_oracle_lower_bounds_both_greedy_assigners(seed):
     coin = integral_assignment(sizes, raw, Fraction(2))
     if coin is not None:
         assert optimal <= makespan(coin, bags, speeds)
+
+
+# -- the integer search against the former Fraction search -----------------------
+
+def reference_search(sizes, speeds):
+    """The oracle's search as first written, comparing Fractions throughout."""
+    m = len(speeds)
+    total = sum(sizes)
+
+    loads = [0] * m
+    warm = [0] * len(sizes)
+    for k, a in enumerate(sizes):
+        i = min(range(m), key=lambda j: Fraction(loads[j] + a, speeds[j]))
+        loads[i] += a
+        warm[k] = i
+    start = max(Fraction(loads[j], speeds[j]) for j in range(m))
+
+    best_value = start
+    best_owner = list(warm)
+    floor_value = Fraction(total, sum(speeds))
+
+    loads = [0] * m
+    owner = [0] * len(sizes)
+
+    def dfs(k, current):
+        nonlocal best_value, best_owner
+        if best_value == floor_value:
+            return
+        if k == len(sizes):
+            best_value = current
+            best_owner = owner[:]
+            return
+        a = sizes[k]
+        candidates = []
+        seen = set()
+        for j in range(m):
+            key = (loads[j], speeds[j])
+            if key in seen:
+                continue
+            seen.add(key)
+            ratio = Fraction(loads[j] + a, speeds[j])
+            if ratio >= best_value:
+                continue
+            candidates.append((ratio, j))
+        candidates.sort()
+        for ratio, j in candidates:
+            if ratio >= best_value:
+                continue
+            loads[j] += a
+            owner[k] = j
+            dfs(k + 1, max(current, ratio))
+            loads[j] -= a
+    dfs(0, Fraction(0))
+    return best_value, best_owner
+
+
+# Few distinct values, so equal sizes, equal speeds and ties between leaves are common.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=10),
+    st.sampled_from([1, 1, 2, 6]),
+    st.lists(st.integers(1, 9), min_size=1, max_size=5),
+    st.sampled_from([9, 3, 2]),
+)
+# An incumbent at ceil(total * unit / sum(speeds)) is optimal here, and the
+# former search still replaced its witness with a later tying leaf.
+@example([12, 12, 4, 4, 4, 3, 2, 2], 1, [9, 3, 2], 9)
+@example([1, 1, 1, 1], 6, [4], 9)
+def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, grain):
+    sizes = sorted((a * factor for a in raw_sizes), reverse=True)
+    speeds = sorted((1 + (s - 1) % grain for s in raw_speeds), reverse=True)
+    value, witness = _search_min_makespan(sizes, speeds)
+    assert (value, witness) == reference_search(sizes, speeds)
+    assert isinstance(value, Fraction)
 
 
 def test_direct_optimum_known_values():
