@@ -239,12 +239,19 @@ def surplus_breakpoints(lambda_max: Fraction) -> list[SurplusPoint]:
 
 
 def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
-    """Bag profile for unit jobs with makespan at most 1.6 times optimal.
+    """Bag profile for unit jobs; within 8/5 of optimal is certified for bags == machines only.
 
     Up to 60 jobs per machine this is the coin construction at factor 8/5,
-    trimmed so the sizes sum to the job count.  Beyond that the greedy small-
-    jobs packing runs at the divisible-load optimum plus machines/jobs, which
-    is below 8/5 there.
+    trimmed to the job count, when its sizes reach the job count.  Otherwise
+    it is the greedy small-jobs packing at
+    ``sand_robustness(machines, bags) + machines / jobs``.
+
+    With bags == machines the coin sizes reach the job count and the
+    coin-paying assigner places them at 8/5 on every integral speed profile
+    (the success and robustness sweeps), and past 60 jobs per machine the
+    packing's factor is below 8/5.  Other bag counts carry no 8/5 guarantee:
+    with fewer bags the exact oracle over n <= 12 finds worst cases of 2 at
+    (machines 3, bags 2) and 3 at (machines 4, bags 2).
     """
     if min(jobs, machines, bags) < 1:
         raise ValueError("jobs, machines and bags must all be >= 1")

@@ -94,6 +94,17 @@ class SpeedProfile:
             raise ValueError("speeds must contain at least one positive value")
         object.__setattr__(self, "speeds", values)
 
+    @classmethod
+    def _trusted(cls, speeds: tuple[Fraction, ...]) -> SpeedProfile:
+        """A profile of ``speeds`` as given, unchecked and unsorted.
+
+        The caller guarantees what ``__init__`` would establish: a tuple of
+        non-negative Fractions, non-increasing, not all zero.
+        """
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "speeds", speeds)
+        return profile
+
     def __len__(self) -> int:
         return len(self.speeds)
 

@@ -27,6 +27,9 @@ from .second_stage import greedy_assignment, optimal_second_stage
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
 EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids are sampled
 
+# Bound once, so a tracer that rebinds this module's name SpeedProfile leaves it alone.
+_speed_profile = SpeedProfile._trusted
+
 
 @dataclass
 class VerificationReport:
@@ -68,15 +71,45 @@ def normalize_speeds(jobs: Sequence[Fraction | int], speeds: SpeedProfile) -> Sp
 
 
 def _partitions(total: int, parts_left: int, cap: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of ``total`` into at most ``parts_left`` parts of at most ``cap``.
+
+    Reverse-lexicographic, largest first part first.  One list is walked in
+    place: each step lowers by one the last part that can drop and still
+    leave room for the rest, then refills after it greedily.
+    """
     if total == 0:
         yield ()
         return
-    if parts_left == 0:
+    top = min(cap, total)
+    if top < 1 or top * parts_left < total:
         return
-    # Below ceil(total / parts_left) the remaining parts could not reach the total.
-    for first in range(min(cap, total), -(-total // parts_left) - 1, -1):
-        for rest in _partitions(total - first, parts_left - 1, first):
-            yield (first, *rest)
+    q, r = divmod(total, top)
+    parts = [top] * q
+    if r:
+        parts.append(r)
+    while True:
+        yield tuple(parts)
+        i = len(parts) - 1
+        while i >= 0 and parts[i] == 1:  # a part of one cannot drop
+            i -= 1
+        rest = len(parts) - i  # the ones after i, plus the unit taken from parts[i]
+        while i >= 0:
+            v = parts[i] - 1
+            if rest <= (parts_left - 1 - i) * v:
+                break
+            rest += parts[i]
+            i -= 1
+        else:
+            return
+        parts[i] = v
+        del parts[i + 1:]
+        if rest <= v:
+            parts.append(rest)
+        else:
+            q, r = divmod(rest, v)
+            parts += [v] * q
+            if r:
+                parts.append(r)
 
 
 def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[SpeedProfile]:
@@ -84,11 +117,16 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
 
     These are the partitions of ``total`` into at most ``machines`` parts,
     zero-padded; each is emitted exactly once, largest first part first.
+    Speeds are shared ``Fraction`` objects from one table per call, and the
+    partitions already meet every rule of :class:`SpeedProfile`, so profiles
+    are built unchecked.
     """
     if total < 1 or machines < 1:
         raise ValueError("total and machines must both be >= 1")
+    speed = [Fraction(i) for i in range(total + 1)]
+    zeros = (speed[0],) * machines
     for parts in _partitions(total, machines, total):
-        yield SpeedProfile(parts + (0,) * (machines - len(parts)))
+        yield _speed_profile(tuple(map(speed.__getitem__, parts)) + zeros[len(parts):])
 
 
 def partition_count(total: int, max_parts: int) -> int:
@@ -210,8 +248,11 @@ def verify_bricks_robustness(
     each.  Grids with at most ``EXHAUSTIVE_PROFILES`` profiles are exhaustive;
     larger ones check ``samples`` uniformly random partitions instead.  Each
     profile runs the assigners' integer kernel directly, on coin costs
-    computed once, and builds no assignment.
+    computed once, and builds no assignment.  ``samples`` must be at least 1,
+    so a sampled grid never reports an empty certificate.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
     profile = robust_bags(jobs, machines, machines)
     costs = _coin_costs([int(a) for a in profile.sizes], BRICK_ROBUSTNESS)
@@ -255,6 +296,8 @@ def verify_sand_upper(
     Runs against the full adversary configuration family plus ``trials``
     seeded pseudo-random rational speed profiles of the same total.
     """
+    if trials < 0:
+        raise ValueError(f"trials must be >= 0, got {trials}")
     start = time.perf_counter()
     rho = sand_robustness(machines, bags)
     scale = machines**bags

@@ -20,9 +20,10 @@ from speedrobust.bricks import (
     transformation_factor,
     trim_to_total,
 )
-from speedrobust.model import FractionalSolution, Infeasible
+from speedrobust.model import FractionalSolution, Infeasible, SpeedProfile
 from speedrobust.numerics import floor_scale
 from speedrobust.sand import sand_robustness
+from speedrobust.second_stage import optimal_second_stage
 
 
 def _per_bag_costs(n, m, b):
@@ -292,6 +293,15 @@ def test_dispatcher_large_case_stays_under_target():
     assert sand_robustness(1000, 1000) + Fraction(1, 61) < BRICK_ROBUSTNESS
     profile = robust_bags(61 * 1000, 1000, 1000)
     assert profile.total == 61 * 1000
+
+
+def test_dispatcher_with_fewer_bags_is_not_eight_fifths():
+    # n unit jobs on n unit-speed machines finish at 1 unbagged; with fewer bags
+    # than machines the largest bag alone takes longer than 8/5.
+    for machines, bags, worst in [(3, 2, 2), (4, 2, 3)]:
+        profile = robust_bags(machines, machines, bags)
+        value, _ = optimal_second_stage(profile, SpeedProfile([1] * machines))
+        assert value == worst > BRICK_ROBUSTNESS
 
 
 def test_decimal_string_rounding():

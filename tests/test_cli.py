@@ -146,6 +146,14 @@ def test_verify_robust_roundtrip(capsys):
     assert rows[0]["failure_count"] == "0"
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_verify_robust_without_samples_exits_two(capsys, samples):
+    code, out, err = run_cli(capsys, "verify-robust", "--n", "200", "--m", "10",
+                             "--samples", samples)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "samples must be >= 1" in err
+
+
 def test_surplus_value(capsys):
     code, out, _ = run_cli(capsys, "surplus", "--lam", "11/3")
     assert code == 0

@@ -152,15 +152,38 @@ def test_partition_walk_keeps_its_order():
             for rest in reference(total - first, parts_left - 1, first):
                 yield (first, *rest)
 
-    for n in range(0, 19):
-        for m in range(0, 7):
-            for cap in {n, n // 2, 3}:
+    # n <= 30, m <= 8 is the benchmark's robustness grid; cap 0 and small caps cut every branch.
+    for n in range(0, 31):
+        for m in range(0, 9):
+            for cap in {n, n // 2, 3, 0}:
                 assert list(_partitions(n, m, cap)) == list(reference(n, m, cap)), (n, m, cap)
+
+
+def test_enumeration_builds_the_validated_profiles():
+    for n in range(1, 21):
+        for m in range(1, 7):
+            expected = [SpeedProfile(parts + (0,) * (m - len(parts)))
+                        for parts in _partitions(n, m, n)]
+            got = list(enumerate_integral_speed_profiles(n, m))
+            assert [p.speeds for p in got] == [p.speeds for p in expected], (n, m)
+            assert got == expected
+            assert all(type(p) is SpeedProfile for p in got)
+            assert all(type(s) is Fraction for p in got for s in p.speeds)
+
+
+def test_enumeration_survives_a_rebound_profile_name(monkeypatch):
+    # A tracer replaces the name SpeedProfile in each module with a plain function.
+    from speedrobust import model
+
+    expected = list(enumerate_integral_speed_profiles(6, 3))
+    for module in (verify, model):
+        monkeypatch.setattr(module, "SpeedProfile", lambda *args: SpeedProfile(*args))
+    assert list(enumerate_integral_speed_profiles(6, 3)) == expected
 
 
 def test_robustness_campaign_matches_public_assigner_loop():
     for n in range(1, 13):
-        for m in range(1, 6):
+        for m in range(1, 9):
             sizes = [int(a) for a in robust_bags(n, m, m).sizes]
             checked, failures = 0, []
             for profile in enumerate_integral_speed_profiles(n, m):
@@ -183,6 +206,20 @@ def test_robustness_campaign_samples_grids_over_the_budget(monkeypatch):
         report = verify_bricks_robustness(n, m, samples=20, seed=1)
         assert report.grid["mode"] == "sampled:20:seed=1"
         assert report.ok and report.checked == 20
+
+
+@pytest.mark.parametrize("n,m", [(200, 10), (13, 10)])
+@pytest.mark.parametrize("samples", [0, -3])
+def test_robustness_campaign_refuses_an_empty_sample(n, m, samples):
+    with pytest.raises(ValueError, match="samples must be >= 1"):
+        verify_bricks_robustness(n, m, samples=samples)
+
+
+def test_sand_campaign_refuses_negative_trials():
+    with pytest.raises(ValueError, match="trials must be >= 0"):
+        verify_sand_upper(3, 5, trials=-1)
+    report = verify_sand_upper(3, 5, trials=0)
+    assert report.ok and report.checked == 5
 
 
 def test_robustness_campaign_gate_grids_stay_exhaustive():
