@@ -40,15 +40,13 @@ from .sand import (
 from .second_stage import (
     greedy_assignment,
     integral_assignment,
-    optimal_direct,
     optimal_second_stage,
 )
 from .verify import (
+    CAMPAIGNS,
     VerificationReport,
     enumerate_integral_speed_profiles,
-    normalize_speeds,
     partition_count,
-    robustness_ratio,
     verify_bricks_robustness,
     verify_bricks_success_range,
     verify_sand_upper,

@@ -225,9 +225,3 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     for k, j in enumerate(owner_local):
         owners[k] = positive[j][0]
     return value, Assignment(owners)
-
-
-def optimal_direct(jobs: Sequence[Fraction | int], speeds: SpeedProfile) -> Fraction:
-    """Exact optimal makespan when jobs may be placed individually (no bags)."""
-    value, _ = optimal_second_stage(BagProfile(jobs), speeds)
-    return value

@@ -1,10 +1,11 @@
-"""Normalization, adversary enumeration, and exhaustive verification sweeps.
+"""Adversary enumeration, the verification sweeps, and the table of campaigns they make up.
 
 Campaigns return a :class:`VerificationReport` rather than raising: failures
 are data.  A report with an empty failure list is the finite certificate that
 the swept claim holds on the stated grid.  All sweeps are deterministic for
 fixed inputs (including seeds); grid cells are independent, so the big range
-sweep can optionally fan out over processes.
+sweep can optionally fan out over processes.  :data:`CAMPAIGNS` is the one
+definition of the certifying campaigns, their grids and their expected outcomes.
 """
 
 from __future__ import annotations
@@ -15,17 +16,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_total, robust_bags
-from .model import BagProfile, Infeasible, SpeedProfile
+from .model import BagProfile, SpeedProfile
 from .numerics import format_rational
-from .sand import adversary_configs, sand_bags, sand_robustness
+from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _largest_first, _to_common_ints
-from .second_stage import greedy_assignment, optimal_second_stage
+from .second_stage import greedy_assignment
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
 EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids are sampled
+CAMPAIGN_SEED = 20260808  # the sand campaign's random trials, unless a caller picks another
 
 # Bound once, so a tracer that rebinds this module's name SpeedProfile leaves it alone.
 _speed_profile = SpeedProfile._trusted
@@ -50,24 +52,6 @@ class VerificationReport:
         if include_elapsed:
             out["elapsed_ms"] = self.elapsed_ms
         return out
-
-
-def normalize_speeds(jobs: Sequence[Fraction | int], speeds: SpeedProfile) -> SpeedProfile:
-    """Rescale speeds so the clairvoyant optimum is 1 with no idle capacity.
-
-    Each machine's new speed is its load in an optimal direct schedule of the
-    jobs, so every machine with positive speed finishes exactly at time 1 and
-    the speeds sum to the total job size.
-    """
-    jobs = [Fraction(p) for p in jobs]
-    if sum(jobs) <= 0:
-        raise Infeasible("cannot normalize an instance with zero total load")
-    _, witness = optimal_second_stage(BagProfile(jobs), speeds)
-    ordered = sorted(jobs, reverse=True)  # BagProfile order, matching the witness
-    loads = [Fraction(0)] * len(speeds.speeds)
-    for job, machine in zip(ordered, witness.machine_of_bag):
-        loads[machine] += job
-    return SpeedProfile(loads)
 
 
 def _partitions(total: int, parts_left: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -169,17 +153,6 @@ def _sample_partitions(
         yield tuple(parts)
 
 
-def robustness_ratio(
-    bags: BagProfile, jobs: Sequence[Fraction | int], speeds: SpeedProfile
-) -> Fraction:
-    """Optimal bagged makespan over optimal direct makespan, both exact."""
-    bagged, _ = optimal_second_stage(bags, speeds)
-    direct, _ = optimal_second_stage(BagProfile(jobs), speeds)
-    if direct == 0:
-        raise ZeroDivisionError("optimal direct makespan is zero; ratio undefined")
-    return bagged / direct
-
-
 # -- campaign: coin construction reaches total size n --------------------------
 
 def _success_range_chunk(args: tuple) -> tuple[int, list[dict]]:
@@ -206,8 +179,11 @@ def verify_bricks_success_range(
     Sweeps every machine count up to ``m_max`` and every job count up to
     ``lambda_max`` times it, with bag count equal to machine count, using the
     cost-batched generator.  Any instance whose bag sizes total below n is a
-    failure record.
+    failure record.  An empty grid (``m_max`` or ``lambda_max`` below 1)
+    raises ``ValueError`` rather than certifying nothing.
     """
+    if m_max < 1 or lambda_max < 1:
+        raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")
     start = time.perf_counter()
     rho = Fraction(rho)
     machine_values = list(range(1, m_max + 1))
@@ -344,3 +320,121 @@ def verify_sand_upper(
         "rho": format_rational(rho),
     }
     return VerificationReport(grid, checked, failures, elapsed)
+
+
+# -- the campaign table ---------------------------------------------------------
+
+def _over_cells(grid: dict, cells: list[tuple[int, int]], check: Callable) -> VerificationReport:
+    """One report for ``check(*cell)`` on every cell: counts summed, each failure tagged with its cell."""
+    start = time.perf_counter()
+    checked = 0
+    failures: list[dict] = []
+    for cell in cells:
+        report = check(*cell)
+        checked += report.checked
+        failures += [{"cell": list(cell), **f} for f in report.failures]
+    return VerificationReport(grid, checked, failures, int((time.perf_counter() - start) * 1000))
+
+
+def _sand_tightness(m_max: int, trials: int, seed: int) -> VerificationReport:
+    """:func:`verify_sand_upper` on 2 <= m <= ``m_max``, 1 <= b <= 2m, and probe == bound per cell.
+
+    A probe of the sand profile other than the tight factor is a failure; the
+    probe adds nothing to ``checked``.
+    """
+    def cell(m: int, b: int) -> VerificationReport:
+        report = verify_sand_upper(m, b, trials, seed)
+        probe = lower_bound_probe(m, b, sand_bags(m, b, m**b))
+        if probe != sand_robustness(m, b):
+            report.failures.append({"kind": "probe", "probe": format_rational(probe),
+                                    "reason": "the probe is not the tight factor"})
+        return report
+
+    cells = [(m, b) for m in range(2, m_max + 1) for b in range(1, 2 * m + 1)]
+    return _over_cells({"campaign": "sand-tightness", "m_max": m_max, "trials": trials,
+                        "seed": seed}, cells, cell)
+
+
+def _lower_bound(cells: list[tuple[int, int]]) -> VerificationReport:
+    """Probe every integer bag profile summing to m**b, for each (m, b) cell.
+
+    The profiles are the partitions of m**b into at most b parts, one check
+    each.  The least probe must equal the tight factor: below it a profile
+    beats the bound, above it the bound is not attained.  A cell where it
+    differs fails once, naming the first profile with the least probe.
+    """
+    def cell(m: int, b: int) -> VerificationReport:
+        probes = [(lower_bound_probe(m, b, BagProfile(parts + (0,) * (b - len(parts)))), parts)
+                  for parts in _partitions(m**b, b, m**b)]
+        least, witness = min(probes, key=lambda probe: probe[0])
+        failures = [] if least == sand_robustness(m, b) else [{
+            "bags": list(witness), "probe": format_rational(least),
+            "reason": "the least probe is not the tight factor"}]
+        return VerificationReport({}, len(probes), failures, 0)
+
+    return _over_cells({"campaign": "lower-bound", "cells": [list(c) for c in cells]}, cells, cell)
+
+
+def _bricks_robustness_range(n_max: int, m_max: int) -> VerificationReport:
+    """:func:`verify_bricks_robustness` on every cell n <= ``n_max``, m <= ``m_max``."""
+    cells = [(n, m) for m in range(1, m_max + 1) for n in range(1, n_max + 1)]
+    return _over_cells({"campaign": "bricks-robustness-range", "n_max": n_max, "m_max": m_max},
+                       cells, verify_bricks_robustness)
+
+
+class Campaign(NamedTuple):
+    """A certifying sweep, its full and quick grids, and the outcome each must give.
+
+    ``sweep(**grid)`` must count ``checked[0]`` checks on the full grid and
+    ``checked[1]`` on the quick one.  It must be clean, or, given a
+    ``witness``, report a failure whose fields include it.
+    """
+
+    sweep: Callable[..., VerificationReport]
+    full: dict
+    quick: dict
+    checked: tuple[int, int]
+    witness: dict | None = None
+
+    def run(self, quick: bool = False, **settings) -> VerificationReport:
+        """Sweep one grid; ``settings`` such as ``seed`` or ``workers`` replace the grid's own."""
+        grid = self.quick if quick else self.full
+        return self.sweep(**{**grid, **{k: v for k, v in settings.items() if k in grid}})
+
+    def meets(self, report: VerificationReport, quick: bool = False) -> bool:
+        """Whether ``report`` has this campaign's expected count and outcome."""
+        if report.checked != self.checked[1 if quick else 0]:
+            return False
+        if self.witness is None:
+            return report.ok
+        return any(self.witness.items() <= f.items() for f in report.failures)
+
+
+_SHAVED = {"m_max": 9, "lambda_max": 5, "rho": Fraction(159, 100)}
+
+# Acceptance criteria 4 to 7 and 9 (tests/test_acceptance.py) run the full grids.
+CAMPAIGNS: dict[str, Campaign] = {
+    # the coin construction reaches n at 8/5 for m <= 144 and 60 jobs per machine
+    "success-range": Campaign(verify_bricks_success_range,
+                              full={"m_max": 144, "lambda_max": 60, "workers": None},
+                              quick={"m_max": 20, "lambda_max": 10, "workers": None},
+                              checked=(626_400, 2_100)),
+    # at 159/100 the construction falls short at 45 jobs on 9 machines
+    "shaved-witness": Campaign(verify_bricks_success_range, full=_SHAVED, quick=_SHAVED,
+                               checked=(225, 225), witness={"n": 45, "m": 9}),
+    # b adversary configurations plus the random trials per cell
+    "sand-tightness": Campaign(_sand_tightness,
+                               full={"m_max": 6, "trials": 1000, "seed": CAMPAIGN_SEED},
+                               quick={"m_max": 4, "trials": 100, "seed": CAMPAIGN_SEED},
+                               checked=(40_200, 1_867)),
+    # one check per integer bag profile
+    "lower-bound": Campaign(_lower_bound,
+                            full={"cells": [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 3),
+                                            (5, 3), (3, 4)]},
+                            quick={"cells": [(2, 2), (2, 3), (3, 3)]},
+                            checked=(7_132, 88)),
+    # one check per integral speed profile
+    "bricks-robustness": Campaign(_bricks_robustness_range,
+                                  full={"n_max": 40, "m_max": 8}, quick={"n_max": 12, "m_max": 4},
+                                  checked=(184_649, 315)),
+}

@@ -21,14 +21,9 @@ from speedrobust.bricks import (
 )
 from speedrobust.model import Assignment, BagProfile, Instance, InvalidAssignment, SpeedProfile, makespan
 from speedrobust.pebbles import pebble_ratio, pebbles_bags, reference_sequence
-from speedrobust.sand import lower_bound_probe, sand_bags, sand_robustness
+from speedrobust.sand import sand_robustness
 from speedrobust.second_stage import optimal_second_stage
-from speedrobust.verify import (
-    _partitions,
-    verify_bricks_robustness,
-    verify_bricks_success_range,
-    verify_sand_upper,
-)
+from speedrobust.verify import CAMPAIGNS
 
 TABLE_TOLERANCE = 5.05e-4  # "matches to 3 decimal places"
 SEED = 20260808
@@ -114,9 +109,18 @@ def test_criterion_03_surplus_tables():
     _criterion(3, "surplus tables, breakpoints, and exact spot values all match", ok)
 
 
+def _full_run(name: str, grid: dict):
+    """Run a campaign's full grid from ``verify.CAMPAIGNS``, pinned to the grid the criterion states."""
+    campaign = CAMPAIGNS[name]
+    report = campaign.run()
+    assert report.grid == grid, report.grid
+    return report, campaign.meets(report)
+
+
 def test_criterion_04_success_sweep_full_range():
-    report = verify_bricks_success_range(144, 60)
-    ok = report.ok and report.checked == sum(60 * m for m in range(1, 145))
+    report, met = _full_run("success-range", {
+        "campaign": "bricks-success-range", "m_max": 144, "lambda_max": 60, "rho": "8/5"})
+    ok = met and report.ok and report.checked == 626_400
     _criterion(4, f"coin construction reaches n on all {report.checked} instances "
                   f"(m <= 144, 60 jobs/machine) in {report.elapsed_ms} ms", ok)
 
@@ -125,40 +129,30 @@ def test_criterion_05_near_tightness_witness():
     solution = bricks_bags(45, 9, 9, BRICK_ROBUSTNESS)
     ok = solution.bag_sizes == (8, 8, 6, 6, 4, 4, 4, 3, 3) and solution.total_size == 46
 
-    shaved = verify_bricks_success_range(9, 5, rho=Fraction(159, 100))
-    witness = [f for f in shaved.failures if f["n"] == 45 and f["m"] == 9]
-    ok = ok and bool(witness)
+    shaved, met = _full_run("shaved-witness", {
+        "campaign": "bricks-success-range", "m_max": 9, "lambda_max": 5, "rho": "159/100"})
+    ok = ok and met and shaved.checked == 225
+    ok = ok and {"n": 45, "m": 9, "reason": "total size 44 < 45"} in shaved.failures
     shaved_total = bricks_bags(45, 9, 9, Fraction(159, 100)).total_size
     ok = ok and shaved_total <= 44
     _criterion(5, f"factor 8/5 yields total 46 at (45, 9); 159/100 drops to {shaved_total}", ok)
 
 
 def test_criterion_06_sand_tightness_both_sides():
-    ok = True
-    checked = 0
-    for m in range(2, 7):
-        for b in range(1, 2 * m + 1):
-            report = verify_sand_upper(m, b, trials=1000, seed=SEED)
-            ok = ok and report.ok
-            checked += report.checked
-            probe = lower_bound_probe(m, b, sand_bags(m, b, m**b))
-            ok = ok and probe == sand_robustness(m, b)
-    ok = ok and checked == 40_200  # b adversary configurations + 1,000 trials per cell
+    # a probe that differs from the tight factor is a failure of the campaign
+    report, met = _full_run("sand-tightness", {
+        "campaign": "sand-tightness", "m_max": 6, "trials": 1000, "seed": SEED})
+    ok = met and report.ok
+    ok = ok and report.checked == 40_200  # b adversary configurations + 1,000 trials per cell
     _criterion(6, "sand bags survive every adversary at the tight factor and "
                   "the probe reports exactly it (2 <= m <= 6, 1 <= b <= 2m)", ok)
 
 
 def test_criterion_07_discretized_lower_bound_certificate():
-    ok = True
-    for m, b in [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 3), (5, 3), (3, 4)]:
-        scale = m**b
-        bound = sand_robustness(m, b)
-        worst = None
-        for parts in _partitions(scale, b, scale):
-            profile = BagProfile(parts + (0,) * (b - len(parts)))
-            value = lower_bound_probe(m, b, profile)
-            worst = value if worst is None else min(worst, value)
-        ok = ok and worst == bound
+    # one check per integer bag profile summing to m**b; the least probe must equal the bound
+    report, met = _full_run("lower-bound", {"campaign": "lower-bound", "cells": [
+        [2, 2], [2, 3], [3, 3], [2, 4], [2, 5], [4, 3], [5, 3], [3, 4]]})
+    ok = met and report.ok and report.checked == 7_132
     _criterion(7, "every integer bag profile loses at least the tight factor "
                   "against the adversary family, and some profile loses exactly that", ok)
 
@@ -197,15 +191,10 @@ def test_criterion_08_small_jobs_packing_suite():
 
 
 def test_criterion_09_end_to_end_bricks_robustness():
-    ok = True
-    checked = 0
-    for m in range(1, 9):
-        for n in range(1, 41):
-            report = verify_bricks_robustness(n, m)
-            ok = ok and report.ok
-            checked += report.checked
-    ok = ok and checked == 184_649
-    _criterion(9, f"coin assignment placed the dispatcher bags on all {checked} "
+    report, met = _full_run("bricks-robustness", {
+        "campaign": "bricks-robustness-range", "n_max": 40, "m_max": 8})
+    ok = met and report.ok and report.checked == 184_649
+    _criterion(9, f"coin assignment placed the dispatcher bags on all {report.checked} "
                   "integral speed profiles (m <= 8, n <= 40)", ok)
 
 

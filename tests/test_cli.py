@@ -192,6 +192,10 @@ def test_usage_errors_exit_two(capsys):
         code, _, err = run_cli(capsys, "assign", "--algo", algo, "--bags", "0", "--speeds", "1",
                                "--rho=-1")
         assert code == 2 and "rho must be positive" in err
+    for m_max, lambda_max in (("0", "60"), ("9", "0")):
+        code, out, err = run_cli(capsys, "verify-range", "--m-max", m_max,
+                                 "--lambda-max", lambda_max, "--workers", "1")
+        assert code == 2 and "must both be >= 1" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -19,7 +19,6 @@ from speedrobust.second_stage import (
     _search_min_makespan,
     greedy_assignment,
     integral_assignment,
-    optimal_direct,
     optimal_second_stage,
 )
 
@@ -406,6 +405,6 @@ def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, g
 
 
 def test_direct_optimum_known_values():
-    assert optimal_direct([1] * 13, SpeedProfile([4, 3, 3, 2, 1])) == 1
-    assert optimal_direct([3, 2], SpeedProfile([5])) == 1
-    assert optimal_direct([2, 2, 1], SpeedProfile([3, 2])) == 1
+    assert optimal_second_stage(BagProfile([1] * 13), SpeedProfile([4, 3, 3, 2, 1]))[0] == 1
+    assert optimal_second_stage(BagProfile([3, 2]), SpeedProfile([5]))[0] == 1
+    assert optimal_second_stage(BagProfile([2, 2, 1]), SpeedProfile([3, 2]))[0] == 1

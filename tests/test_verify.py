@@ -3,7 +3,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_total, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
@@ -11,38 +10,16 @@ from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
 from speedrobust import verify
 from speedrobust.bricks import robust_bags
-from speedrobust.second_stage import greedy_assignment, integral_assignment, optimal_direct
+from speedrobust.second_stage import greedy_assignment, integral_assignment, optimal_second_stage
 from speedrobust.verify import (
     EXHAUSTIVE_PROFILES,
     _partitions,
     enumerate_integral_speed_profiles,
-    normalize_speeds,
     partition_count,
-    robustness_ratio,
     verify_bricks_robustness,
     verify_bricks_success_range,
     verify_sand_upper,
 )
-
-
-def test_normalize_speeds_known_cases():
-    assert normalize_speeds([1, 1], SpeedProfile([2, 2])).speeds == (1, 1)
-    assert normalize_speeds([1], SpeedProfile([1])).speeds == (1,)
-    assert normalize_speeds([2, 1], SpeedProfile([4, 2])).speeds == (2, 1)
-
-
-@settings(max_examples=30, deadline=None)
-@given(st.integers())
-def test_normalized_speeds_fully_utilized(seed):
-    rng = random.Random(seed)
-    n = rng.randint(1, 7)
-    m = rng.randint(1, 4)
-    jobs = [Fraction(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(n)]
-    speeds = SpeedProfile([rng.randint(0, 6) for _ in range(m - 1)] + [rng.randint(1, 6)])
-    normalized = normalize_speeds(jobs, speeds)
-    assert normalized.total == sum(jobs)
-    # the optimum against the new speeds is exactly 1
-    assert optimal_direct(jobs, normalized) == 1
 
 
 def test_enumeration_known_values():
@@ -86,21 +63,7 @@ def test_enumerated_profiles_are_unique_and_sorted():
 def test_full_utilization_under_unit_jobs():
     for n, m in [(6, 3), (7, 4), (5, 2)]:
         for profile in enumerate_integral_speed_profiles(n, m):
-            assert optimal_direct([1] * n, profile) == 1
-
-
-def test_robustness_ratio_known_cases():
-    jobs = [Fraction(1)] * 4
-    assert robustness_ratio(BagProfile(jobs), jobs, SpeedProfile([2, 2])) == 1
-    ratio = robustness_ratio(BagProfile([2, 2]), jobs, SpeedProfile([3, 1]))
-    assert ratio == Fraction(4, 3)
-    worst = max(
-        robustness_ratio(sand_bags(2, 2, 4), [1] * 4, config)
-        for config in [SpeedProfile([2, 2]), SpeedProfile([3, 1])]
-    )
-    assert worst == sand_robustness(2, 2)
-    with pytest.raises(ZeroDivisionError):
-        robustness_ratio(BagProfile([0]), [0], SpeedProfile([1]))
+            assert optimal_second_stage(BagProfile([1] * n), profile)[0] == 1
 
 
 def test_fast_sweep_size_matches_library_route():
@@ -126,6 +89,25 @@ def test_success_range_detects_shortfall_below_target():
     report = verify_bricks_success_range(9, 5, rho=Fraction(159, 100))
     assert not report.ok
     assert {"n": 45, "m": 9, "reason": "total size 44 < 45"} in report.failures
+
+
+@pytest.mark.parametrize("m_max,lambda_max", [(0, 60), (9, 0), (-1, -1)])
+def test_success_range_refuses_an_empty_grid(m_max, lambda_max):
+    with pytest.raises(ValueError, match="m_max and lambda_max must both be >= 1"):
+        verify_bricks_success_range(m_max, lambda_max)
+
+
+def test_multi_cell_campaigns_tag_each_failure_with_its_cell(monkeypatch):
+    # Shaved below the tight factor, no probe equals it: every cell fails its probe check.
+    shaved = lambda m, b: sand_robustness(m, b) * Fraction(99, 100)  # noqa: E731
+    monkeypatch.setattr(verify, "sand_robustness", shaved)
+    report = verify.CAMPAIGNS["lower-bound"].run(quick=True)
+    assert report.checked == 88
+    assert [f["cell"] for f in report.failures] == [[2, 2], [2, 3], [3, 3]]
+    report = verify.CAMPAIGNS["sand-tightness"].run(quick=True)
+    assert report.checked == 1_867
+    probes = [f["cell"] for f in report.failures if f["kind"] == "probe"]
+    assert probes == [[m, b] for m in range(2, 5) for b in range(1, 2 * m + 1)]
 
 
 def test_success_range_workers_agree_with_serial():
