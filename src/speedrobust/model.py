@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numerics import parse_rational
+from .numerics import exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -33,7 +33,7 @@ class Infeasible(ValueError):
 def _sorted_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
     out = []
     for v in values:
-        f = parse_rational(v) if isinstance(v, str) else Fraction(v)
+        f = exact_rational(v)
         if f < 0:
             raise ValueError(f"negative value not allowed: {f}")
         out.append(f)
@@ -54,7 +54,8 @@ class Instance:
         if bag_count < 1:
             raise ValueError(f"bag_count must be >= 1, got {bag_count}")
         sizes = _sorted_fractions(job_sizes)
-        if sum(sizes) <= 0:
+        # non-negative and non-increasing: the total is positive iff the first size is
+        if not sizes or sizes[0] == 0:
             raise ValueError("total processing time must be positive")
         object.__setattr__(self, "job_sizes", sizes)
         object.__setattr__(self, "machine_count", machine_count)
@@ -73,6 +74,17 @@ class BagProfile:
 
     def __init__(self, sizes: Iterable[Fraction | int | str]):
         object.__setattr__(self, "sizes", _sorted_fractions(sizes))
+
+    @classmethod
+    def _trusted(cls, sizes: tuple[Fraction, ...]) -> BagProfile:
+        """A profile of ``sizes`` as given, unchecked and unsorted.
+
+        The caller guarantees what ``__init__`` would establish: a tuple of
+        non-negative Fractions, non-increasing.
+        """
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "sizes", sizes)
+        return profile
 
     def __len__(self) -> int:
         return len(self.sizes)

@@ -60,6 +60,19 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"bad rational literal {text!r}: {exc}") from None
 
 
+def exact_rational(value: Fraction | int | str) -> Fraction:
+    """``value`` as a Fraction; strings go through :func:`parse_rational`.
+
+    Floats are rejected like float literals are: ``Fraction(0.1)`` is the
+    binary approximation 3602879701896397/36028797018963968, not 1/10.
+    """
+    if isinstance(value, str):
+        return parse_rational(value)
+    if isinstance(value, float):
+        raise ValueError(f"not an exact rational (floats are rejected): {value!r}")
+    return Fraction(value)
+
+
 def format_rational(value: Fraction | int) -> str:
     """Serialize as ``"p/q"``, or just ``"p"`` for integral values."""
     value = Fraction(value)

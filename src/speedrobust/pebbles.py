@@ -1,18 +1,23 @@
 """Greedy bag packing for jobs that are small relative to the average load.
 
-Jobs are rescaled so the total equals the machine count, packed largest-first
-into the current bag while the capacity-style bound allows it, then into the
-next bag.  If every job is at most q times the average machine load, running
-at the divisible-load optimum plus q is guaranteed to pack everything.
+Jobs are packed largest-first into the current bag while the capacity-style
+bound allows it, then into the next bag; the bound is stated at the scale
+where the total equals the machine count.  The packing runs on integers:
+jobs are scaled by the lcm of their denominators, and the bound, scaled the
+same way, is compared as an integer.  If every job is at most q times the
+average machine load, running at the divisible-load optimum plus q is
+guaranteed to pack everything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .model import Instance
-from .sand import sand_robustness
+from .numerics import exact_rational
+from .sand import sand_bags
 
 
 @dataclass(frozen=True)
@@ -32,19 +37,12 @@ def pebble_ratio(instance: Instance) -> Fraction:
 def reference_sequence(machines: int, bags: int) -> tuple[Fraction, ...]:
     """Bag sizes of the divisible-load optimum, normalized to total ``machines``.
 
-    Defined by the recurrence a_k = rho - (1/machines) * sum(a_1..a_{k-1})
-    with rho the tight divisible-load robustness factor; the packing bound
-    holds with equality on this sequence, and its partial sums are the floor
-    that any successful greedy packing must dominate.
+    They satisfy a_k = rho - (1/machines) * sum(a_1..a_{k-1}) with rho the
+    tight divisible-load robustness factor; the packing bound holds with
+    equality on this sequence, and its partial sums are the floor that any
+    successful greedy packing must dominate.
     """
-    rho = sand_robustness(machines, bags)
-    out: list[Fraction] = []
-    prefix = Fraction(0)
-    for _ in range(bags):
-        a = rho - prefix / machines
-        out.append(a)
-        prefix += a
-    return tuple(out)
+    return sand_bags(machines, bags, machines).sizes
 
 
 def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
@@ -56,29 +54,37 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     count; then the next bag is tried.  ``packed_all`` is False when jobs
     remain after the last bag, the signal that ``rho`` was too small for this
     instance.
+
+    The test runs on integers: with d the lcm of the job denominators, job j
+    is X_j = p_j * d, T = sum(X_j), S is the current bag's sum and P the sum
+    of the earlier bags.  At the normalized scale the job, the current bag and
+    the earlier bags are X_j * m / T, S * m / T and P * m / T, so the test
+    times T is m * (S + X_j) + P > rho * T; the left side is an integer, so
+    this is m * (S + X_j) + P > floor(rho * T).  Bag sizes are S / d.
     """
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     m, b = instance.machine_count, instance.bag_count
-    scale = Fraction(m) / instance.total
-    normalized = [p * scale for p in instance.job_sizes]
+    d = lcm(*{p.denominator for p in instance.job_sizes})
+    scaled = [p.numerator * (d // p.denominator) for p in instance.job_sizes]
+    cap = rho.numerator * sum(scaled) // rho.denominator
 
     bag_of_job: dict[int, int] = {}
-    sizes = [Fraction(0)] * b
-    prefix = Fraction(0)  # total size of bags strictly before the current one
+    sizes = [0] * b
+    prefix = 0  # total of the bags strictly before the current one
     k = 0
-    for j, p in enumerate(normalized):
-        while k < b and sizes[k] + p > rho - prefix / m:
+    for j, x in enumerate(scaled):
+        while k < b and m * (sizes[k] + x) + prefix > cap:
             prefix += sizes[k]
             k += 1
         if k >= b:
             break
         bag_of_job[j] = k
-        sizes[k] += p
+        sizes[k] += x
 
     return PebblesResult(
         bag_of_job=bag_of_job,
-        bag_sizes=tuple(s / scale for s in sizes),
-        packed_all=len(bag_of_job) == len(normalized),
+        bag_sizes=tuple(Fraction(s, d) for s in sizes),
+        packed_all=len(bag_of_job) == len(scaled),
     )

@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
+from .numerics import exact_rational
 from .second_stage import _check_oracle_size, _search_min_makespan, _to_common_ints
 
 
@@ -55,9 +56,15 @@ def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
     if machines < 1 or bags < 1:
         raise ValueError("machines and bags must both be >= 1")
     _check_printable_scale(machines, bags)
-    weights = tuple(machines ** (bags - j) * (machines - 1) ** (j - 1) for j in range(1, bags + 1))
+    # weights[j + 1] = weights[j] * (machines - 1) / machines, exact while
+    # machines divides the weight, which holds for every weight kept
+    weights = []
+    w = machines ** (bags - 1)
+    for _ in range(bags):
+        weights.append(w)
+        w = w // machines * (machines - 1)
     scale = machines**bags
-    return GeometricSkeleton(machines, bags, weights, scale, scale - (machines - 1) ** bags)
+    return GeometricSkeleton(machines, bags, tuple(weights), scale, scale - (machines - 1) ** bags)
 
 
 def sand_robustness(machines: int, bags: int) -> Fraction:
@@ -76,12 +83,23 @@ def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
     The skeleton keeps all ``machines`` even with fewer bags: the clairvoyant
     optimum spreads the load over every machine, so reducing the machine
     count to ``bags`` would miss the ``sand_robustness(machines, bags)`` factor.
+
+    Sizes follow the weights' running product: each is the one before times
+    (machines-1)/machines, a Fraction product whose reductions are gcds
+    against machines and machines-1 only, so past the first size no gcd is
+    taken between two big numbers.  The sizes are non-increasing and
+    non-negative by construction, so the profile skips the checks and
+    re-sort of ``BagProfile``.
     """
-    total = Fraction(total)
+    total = exact_rational(total)
     if total <= 0:
         raise ValueError(f"total must be positive, got {total}")
     sk = geometric_skeleton(machines, bags)
-    return BagProfile([Fraction(w, sk.weight_total) * total for w in sk.weights])
+    ratio = Fraction(machines - 1, machines)
+    sizes = [total * Fraction(sk.weights[0], sk.weight_total)]
+    for _ in range(bags - 1):
+        sizes.append(sizes[-1] * ratio)
+    return BagProfile._trusted(tuple(sizes))
 
 
 def _adversary_speeds(sk: GeometricSkeleton) -> Iterator[list[int]]:

@@ -109,6 +109,17 @@ def test_profile_validation():
         Instance([1], 0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: Instance([0.1, 0.2], 2, 2),
+    lambda: BagProfile([3, 0.5]),
+    lambda: SpeedProfile([1, 0.25]),
+])
+def test_profiles_refuse_floats(build):
+    # Fraction(0.1) would store 3602879701896397/36028797018963968, not 1/10
+    with pytest.raises(ValueError, match=r"floats are rejected\): 0\.(1|5|25)$"):
+        build()
+
+
 def test_fractional_solution_validation():
     sol = FractionalSolution({2: Fraction(3, 2), 1: Fraction(1, 2)}, 2)
     assert sol.total_bags == 2

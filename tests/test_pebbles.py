@@ -1,13 +1,41 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from speedrobust.bricks import PEBBLES_CUTOVER, robust_bags
 from speedrobust.model import Instance, SpeedProfile
-from speedrobust.pebbles import pebble_ratio, pebbles_bags, reference_sequence
+from speedrobust.pebbles import PebblesResult, pebble_ratio, pebbles_bags, reference_sequence
 from speedrobust.sand import sand_bags, sand_robustness
 from speedrobust.second_stage import greedy_assignment
 from speedrobust.model import BagProfile
+
+
+def _fraction_loop_pebbles(instance: Instance, rho: Fraction) -> PebblesResult:
+    """The former Fraction loop of ``pebbles_bags``, the reference for its integer kernel."""
+    m, b = instance.machine_count, instance.bag_count
+    scale = Fraction(m) / instance.total
+    normalized = [p * scale for p in instance.job_sizes]
+
+    bag_of_job: dict[int, int] = {}
+    sizes = [Fraction(0)] * b
+    prefix = Fraction(0)
+    k = 0
+    for j, p in enumerate(normalized):
+        while k < b and sizes[k] + p > rho - prefix / m:
+            prefix += sizes[k]
+            k += 1
+        if k >= b:
+            break
+        bag_of_job[j] = k
+        sizes[k] += p
+
+    return PebblesResult(
+        bag_of_job=bag_of_job,
+        bag_sizes=tuple(s / scale for s in sizes),
+        packed_all=len(bag_of_job) == len(normalized),
+    )
 
 
 def test_pebble_ratio_known_values():
@@ -110,3 +138,54 @@ def test_packed_bags_survive_greedy_assignment(seed):
             raw[0] = 1
         speeds = SpeedProfile(Fraction(r, sum(raw)) * total for r in raw)
         assert greedy_assignment(bags, speeds, rho) is not None
+
+
+def _kernel_cases():
+    """(instance, rho) pairs: the criterion-8 recipe at, below and far above its bound."""
+    rng = random.Random(8)
+    for _ in range(25):
+        instance, q = _random_small_jobs_instance(rng)
+        bound = sand_robustness(instance.machine_count, instance.bag_count)
+        for rho in (bound + q, Fraction(1), (1 + bound + q) / 2, bound + q / 2, 2 * (bound + q)):
+            yield instance, rho
+    # zero-size jobs, which fit in the current bag unless it is already full
+    for m, b in [(2, 2), (3, 5), (4, 2)]:
+        jobs = [3, 0, 1, 0, Fraction(1, 2), 0, 2, 2, Fraction(5, 3)]
+        for rho in (Fraction(1), sand_robustness(m, b), sand_robustness(m, b) + Fraction(3, 4)):
+            yield Instance(jobs, m, b), rho
+    # factors just either side of exact fits, where rounding rho * T decides
+    for m, b, n in [(2, 2, 4), (3, 3, 10), (2, 4, 7)]:
+        for fit in (Fraction(3, 2), Fraction(7, 4), Fraction(5, 3)):
+            for eps in (Fraction(-1, 10**6), Fraction(1, 10**6)):
+                yield Instance([1] * n, m, b), fit + eps
+    # unrelated denominators, so the common denominator is a product of primes
+    for m in (2, 3, 5):
+        jobs = [Fraction(rng.randint(1, 9), rng.choice([7, 9, 11, 13, 17])) for _ in range(40)]
+        instance = Instance(jobs + [Fraction(1, 7), Fraction(2, 9), Fraction(5, 11)], m, m)
+        for rho in (Fraction(1), sand_robustness(m, m) + pebble_ratio(instance), Fraction(9, 5)):
+            yield instance, rho
+
+
+def test_integer_kernel_equals_fraction_loop():
+    cases = list(_kernel_cases())
+    assert any(not _fraction_loop_pebbles(i, rho).packed_all for i, rho in cases)
+    assert any(0 in i.job_sizes for i, _ in cases)
+    for instance, rho in cases:
+        assert pebbles_bags(instance, rho) == _fraction_loop_pebbles(instance, rho)
+
+
+def test_dispatcher_past_cutover_equals_fraction_loop_profile():
+    for n, m in [(123, 2), (500, 3), (1000, 7), (2000, 8)]:
+        assert Fraction(n, m) > PEBBLES_CUTOVER
+        rho = sand_robustness(m, m) + Fraction(m, n)
+        reference = _fraction_loop_pebbles(Instance([1] * n, m, m), rho)
+        assert reference.packed_all
+        assert robust_bags(n, m, m) == BagProfile(reference.bag_sizes)
+
+
+def test_float_rho_is_refused():
+    instance = Instance([1, 1, 1, 1], 2, 2)
+    with pytest.raises(ValueError, match="1.8"):
+        pebbles_bags(instance, 1.8)
+    with pytest.raises(ValueError, match="rho must be >= 1"):
+        pebbles_bags(instance, Fraction(1, 2))

@@ -53,6 +53,21 @@ def test_sand_bags_known_profiles():
     assert sizes == (Fraction(7, 3), 0, 0)
 
 
+def test_skeleton_and_sizes_match_the_closed_forms():
+    # weights are a running product and sizes a running Fraction product;
+    # both must equal the closed forms m**(b-j) * (m-1)**(j-1) and w * total / weight_total
+    for m, b in [(3, 400), (1, 5), (7, 40), (2, 64)]:
+        weights = tuple(m ** (b - j) * (m - 1) ** (j - 1) for j in range(1, b + 1))
+        sk = geometric_skeleton(m, b)
+        assert sk.weights == weights
+        assert sk.weight_total == sum(weights) == m**b - (m - 1) ** b
+        for total in (1, Fraction(7, 3), m**b):
+            closed = BagProfile([Fraction(w, sk.weight_total) * total for w in weights])
+            assert sand_bags(m, b, total) == closed
+    with pytest.raises(ValueError, match="0.5"):
+        sand_bags(2, 2, 0.5)
+
+
 @given(
     st.integers(min_value=1, max_value=8),
     st.integers(min_value=1, max_value=10),
