@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible, Instance
-from .numerics import ceil_div, floor_scale, format_rational
+from .numerics import ceil_div, exact_rational, floor_scale, format_rational
 from .pebbles import pebbles_bags
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -100,7 +100,7 @@ def bricks_bags(jobs: int, machines: int, bags: int, rho: Fraction) -> BrickSolu
     """
     if min(jobs, machines, bags) < 1:
         raise ValueError("jobs, machines and bags must all be >= 1")
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     costs = [z for z, x in _coin_levels(jobs, machines, bags, ceil_div) for _ in range(x)]
@@ -147,7 +147,7 @@ def bricks_fractional(jobs: Fraction, machines: Fraction, bags: Fraction) -> Fra
     machines / cost times and the whole solution scales linearly when jobs,
     machines and bags are scaled together.
     """
-    jobs, machines, bags = Fraction(jobs), Fraction(machines), Fraction(bags)
+    jobs, machines, bags = map(exact_rational, (jobs, machines, bags))
     if jobs <= 0 or machines <= 0 or bags <= 0:
         raise ValueError("jobs, machines and bags must all be positive")
     return FractionalSolution(dict(_coin_levels(jobs, machines, bags, truediv)), bags)
@@ -155,7 +155,7 @@ def bricks_fractional(jobs: Fraction, machines: Fraction, bags: Fraction) -> Fra
 
 def solution_size(solution: FractionalSolution, rho: Fraction) -> Fraction:
     """Total bag size of a cost-indexed solution: sum of count * floor(cost * rho)."""
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     return sum(
         (x * floor_scale(z, rho) for z, x in solution.counts.items()),
         Fraction(0),
@@ -172,7 +172,7 @@ def transformation_factor(cost: int, rho: Fraction) -> Fraction:
     """
     if cost < 2:
         raise ValueError(f"cost must be >= 2, got {cost}")
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     return (
         floor_scale(cost, rho)
         - Fraction(cost, cost - 1) * floor_scale(cost - 1, rho)
@@ -202,7 +202,7 @@ def normalized_surplus(lam: Fraction) -> Fraction:
     Because the fractional construction scales, this depends only on the
     jobs-per-machine ratio; it is evaluated at one machine and one bag.
     """
-    lam = Fraction(lam)
+    lam = exact_rational(lam)
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
     solution = bricks_fractional(lam, Fraction(1), Fraction(1))
@@ -218,7 +218,7 @@ def surplus_breakpoints(lambda_max: Fraction) -> list[SurplusPoint]:
     extrapolation of that count, which between integers falls at rate one
     over the next integer.
     """
-    lambda_max = Fraction(lambda_max)
+    lambda_max = exact_rational(lambda_max)
     if lambda_max < 1:
         raise ValueError(f"lambda_max must be >= 1, got {lambda_max}")
     lam = Fraction(1)

@@ -1,10 +1,13 @@
-"""Command-line front end: bag construction, assignment, probing, tables, sweeps.
+"""Command-line front end: bag construction, assignment, probing, tables, campaigns.
 
-Every subcommand prints structured data: JSON by default, CSV with
-``--format csv`` (the table emitters default to CSV since they exist to be
-pasted into other tools).  Exit status is 0 on success, 1 when a verification,
-assignment or bag build reports failure, 2 on usage errors.  Rationals on the
-command line are ``p/q`` or plain integers; float syntax is rejected.
+Every subcommand except ``run`` prints structured data: JSON by default, CSV
+with ``--format csv`` (the table emitters default to CSV since they exist to be
+pasted into other tools).  ``run`` prints one summary line per campaign of
+:data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by its failure
+records as one JSON object per line, then the verdict.  Exit status is 0 on
+success, 1 when a verification, assignment or bag build reports failure, 2 on
+usage errors.  Rationals on the command line are ``p/q`` or plain integers;
+float syntax is rejected.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -26,7 +28,7 @@ from .bricks import (
     surplus_integer_table,
 )
 from .model import BagProfile, Instance, SpeedProfile, makespan
-from .numerics import format_rational, parse_rational
+from .numerics import exact_rational, format_rational, parse_rational
 from .pebbles import pebbles_bags
 from .sand import (
     adversary_configs,
@@ -36,17 +38,7 @@ from .sand import (
     sand_robustness,
 )
 from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
-from .verify import VerificationReport, verify_bricks_robustness, verify_bricks_success_range
-
-
-def _default_workers() -> int:
-    env = os.environ.get("SPEEDROBUST_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"SPEEDROBUST_WORKERS must be an integer, got {env!r}") from None
-    return os.cpu_count() or 1
+from .verify import CAMPAIGN_SEED, CAMPAIGNS
 
 
 def _rational(text: str) -> Fraction:
@@ -72,12 +64,11 @@ def _parse_values(text: str) -> list[Fraction]:
             return [parse_rational(part) for part in text.replace(",", " ").split()]
         with open(text[1:]) as fh:
             data = json.load(fh)
-        values = []
-        for v in data:
-            if isinstance(v, float):
-                raise ValueError(f"float {v!r} in {text[1:]}; use 'p/q' strings or integers")
-            values.append(parse_rational(v) if isinstance(v, str) else Fraction(v))
-        return values
+        if not isinstance(data, list):
+            raise ValueError(f"{text[1:]} must hold a JSON array, got {type(data).__name__}")
+        if any(isinstance(v, bool) for v in data):
+            raise ValueError(f"true/false in {text[1:]}; use 'p/q' strings or integers")
+        return [exact_rational(v) for v in data]
     except (ValueError, TypeError, OSError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -100,24 +91,6 @@ def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
     writer = csv.DictWriter(stream, fieldnames=columns)
     writer.writeheader()
     writer.writerows(rows)
-
-
-def _emit_report(report: VerificationReport, fmt: str, stream) -> None:
-    if fmt == "json":
-        json.dump(report.payload(), stream, indent=2, default=str)
-        stream.write("\n")
-        return
-    rows = [{
-        "record": "summary",
-        "grid": json.dumps(report.grid, sort_keys=True),
-        "checked": report.checked,
-        "failure_count": len(report.failures),
-        "elapsed_ms": report.elapsed_ms,
-    }]
-    for failure in report.failures:
-        rows.append({"record": "failure", "grid": "", "checked": "", "failure_count": "",
-                     "elapsed_ms": "", **{k: str(v) for k, v in failure.items()}})
-    _emit_rows(rows, "csv", stream)
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -236,19 +209,28 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _cmd_verify_range(args) -> int:
-    report = verify_bricks_success_range(
-        args.m_max, args.lambda_max, args.rho,
-        workers=args.workers if args.workers is not None else _default_workers(),
-    )
-    _emit_report(report, args.format or "json", sys.stdout)
-    return 0 if report.ok else 1
-
-
-def _cmd_verify_robust(args) -> int:
-    report = verify_bricks_robustness(args.n, args.m, samples=args.samples, seed=args.seed)
-    _emit_report(report, args.format or "json", sys.stdout)
-    return 0 if report.ok else 1
+def _cmd_run(args) -> int:
+    unknown = [name for name in args.names if name not in CAMPAIGNS]
+    if unknown:
+        raise ValueError(f"unknown campaign {', '.join(unknown)}; choose from {', '.join(CAMPAIGNS)}")
+    if args.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    clean = True
+    for name, campaign in CAMPAIGNS.items():
+        if args.names and name not in args.names:
+            continue
+        report = campaign.run(args.quick, seed=args.seed, workers=args.workers)
+        met = campaign.meets(report, args.quick)
+        clean &= met
+        expected = "a witness" if campaign.witness else "clean"
+        print(f"{name:<17} : {'ok' if met else 'MISSED'} (expects {expected}) "
+              f"checked={report.checked} failures={len(report.failures)} "
+              f"elapsed={report.elapsed_ms}ms", flush=True)
+        if not met:
+            for record in report.failures:
+                print(json.dumps(record, sort_keys=True, default=str), flush=True)
+    print("ALL CLEAN" if clean else "FAILURES FOUND", flush=True)
+    return 0 if clean else 1
 
 
 def _cmd_surplus(args) -> int:
@@ -310,21 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(func=_cmd_tables)
 
-    p = sub.add_parser("verify-range", help="sweep the coin construction for total size >= n")
-    p.add_argument("--m-max", dest="m_max", type=int, required=True)
-    p.add_argument("--lambda-max", dest="lambda_max", type=int, required=True)
-    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
-    p.add_argument("--workers", type=int, help="default: SPEEDROBUST_WORKERS, else the CPU count")
-    add_format(p)
-    p.set_defaults(func=_cmd_verify_range)
-
-    p = sub.add_parser("verify-robust", help="assign the dispatcher bags under every integral adversary")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    add_format(p)
-    p.set_defaults(func=_cmd_verify_robust)
+    p = sub.add_parser("run", help="run campaigns of the certifying table; exit 1 on a miss")
+    # Names are checked in _cmd_run: with nargs="*", choices refuses an empty list before 3.12.
+    p.add_argument("names", nargs="*", metavar="NAME",
+                   help=f"campaigns to run, in table order (default all): {', '.join(CAMPAIGNS)}")
+    p.add_argument("--quick", action="store_true", help="each campaign on its smaller grid")
+    p.add_argument("--seed", type=int, default=CAMPAIGN_SEED)
+    p.add_argument("--workers", type=int, default=1, help="processes for success-range")
+    p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("surplus", help="normalized surplus at one jobs-per-machine ratio")
     p.add_argument("--lam", type=_rational, required=True,

@@ -152,12 +152,12 @@ class FractionalSolution:
     bag_budget: Fraction
 
     def __init__(self, counts: Mapping[int, Fraction | int], bag_budget: Fraction | int):
-        budget = Fraction(bag_budget)
+        budget = exact_rational(bag_budget)
         clean: dict[int, Fraction] = {}
         for z, x in counts.items():
             if z < 1:
                 raise ValueError(f"bag cost must be >= 1, got {z}")
-            fx = Fraction(x)
+            fx = exact_rational(x)
             if fx < 0:
                 raise ValueError(f"negative bag count for cost {z}: {fx}")
             if fx > 0:

@@ -21,9 +21,9 @@ def floor_scale(units: int, rho: Fraction) -> int:
     """
     if units < 1:
         raise ValueError(f"units must be >= 1, got {units}")
+    rho = exact_rational(rho)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
-    rho = Fraction(rho)
     return (units * rho.numerator) // rho.denominator
 
 

@@ -14,6 +14,7 @@ from math import lcm
 from typing import Sequence
 
 from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile
+from .numerics import exact_rational
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
@@ -80,7 +81,7 @@ def greedy_assignment(
     ``rho`` is too small for this profile pair.  On success every capacity
     stays non-negative, so the makespan is at most ``rho``.
     """
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     sizes, size_unit = _to_common_ints(bags.sizes)
@@ -106,7 +107,7 @@ def integral_assignment(
     which never happens when the bags came from a successful coin-accounting
     build against speeds of that total.
     """
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     sizes = [int(a) for a in bag_sizes]

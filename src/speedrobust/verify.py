@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_total, robust_bags
 from .model import BagProfile, SpeedProfile
-from .numerics import format_rational
+from .numerics import exact_rational, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _largest_first, _to_common_ints
 from .second_stage import greedy_assignment
@@ -185,12 +185,12 @@ def verify_bricks_success_range(
     if m_max < 1 or lambda_max < 1:
         raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")
     start = time.perf_counter()
-    rho = Fraction(rho)
+    rho = exact_rational(rho)
     machine_values = list(range(1, m_max + 1))
     if workers is not None and workers > 1:
-        chunks = [machine_values[i::workers] for i in range(workers)]
-        args = [(chunk, lambda_max, rho.numerator, rho.denominator) for chunk in chunks if chunk]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        chunks = [machine_values[i::workers] for i in range(min(workers, m_max))]
+        args = [(chunk, lambda_max, rho.numerator, rho.denominator) for chunk in chunks]
+        with ProcessPoolExecutor(max_workers=len(args)) as pool:
             results = list(pool.map(_success_range_chunk, args))
         checked = sum(c for c, _ in results)
         failures = [f for _, fs in results for f in fs]

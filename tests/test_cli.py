@@ -68,6 +68,20 @@ def test_jobs_file_rejects_floats(tmp_path, capsys):
     assert "float" in err
 
 
+@pytest.mark.parametrize("data,reason", [
+    ([True, 2], "true/false"),  # not read as the bag 1
+    ({"3": 1, "2": 0}, "must hold a JSON array"),  # not read as the bags 3 and 2
+    ("12", "must hold a JSON array"),  # not read as the bags 1 and 2
+])
+def test_values_file_refuses_malformed_json(tmp_path, capsys, data, reason):
+    path = tmp_path / "bags.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run_cli(capsys, "assign", "--algo", "optimal", "--speeds", "1",
+                             "--bags", f"@{path}")
+    assert code == 2 and out == ""
+    assert "error:" in err and reason in err
+
+
 def test_assign_greedy_with_trace(capsys):
     code, out, _ = run_cli(capsys, "assign", "--algo", "greedy", "--bags", "8,4,2,1",
                            "--speeds", "8,7", "--rho", "16/15", "--trace")
@@ -117,43 +131,6 @@ def test_tables_default_to_csv(capsys):
     assert rows[0]["lambda"] == "3.667" and rows[0]["surplus"] == "0.167"
 
 
-def test_verify_range_exit_codes(capsys):
-    code, out, _ = run_cli(capsys, "verify-range", "--m-max", "9", "--lambda-max", "5",
-                           "--workers", "1")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["failures"] == [] and payload["checked"] == 225
-    assert set(payload) == {"grid", "checked", "failures", "elapsed_ms"}
-
-    code, out, _ = run_cli(capsys, "verify-range", "--m-max", "9", "--lambda-max", "5",
-                           "--rho", "159/100", "--workers", "1")
-    assert code == 1
-    assert any(f["n"] == 45 and f["m"] == 9 for f in json.loads(out)["failures"])
-
-
-def test_verify_robust_roundtrip(capsys):
-    code, out, _ = run_cli(capsys, "verify-robust", "--n", "13", "--m", "10")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["failures"] == []
-
-    code, out, _ = run_cli(capsys, "verify-robust", "--n", "13", "--m", "10",
-                           "--format", "csv")
-    assert code == 0
-    rows = rows_from_csv(out)
-    assert rows[0]["record"] == "summary"
-    assert rows[0]["checked"] == str(payload["checked"])
-    assert rows[0]["failure_count"] == "0"
-
-
-@pytest.mark.parametrize("samples", ["0", "-3"])
-def test_verify_robust_without_samples_exits_two(capsys, samples):
-    code, out, err = run_cli(capsys, "verify-robust", "--n", "200", "--m", "10",
-                             "--samples", samples)
-    assert code == 2 and out == ""
-    assert err.startswith("error:") and "samples must be >= 1" in err
-
-
 def test_surplus_value(capsys):
     code, out, _ = run_cli(capsys, "surplus", "--lam", "11/3")
     assert code == 0
@@ -192,10 +169,6 @@ def test_usage_errors_exit_two(capsys):
         code, _, err = run_cli(capsys, "assign", "--algo", algo, "--bags", "0", "--speeds", "1",
                                "--rho=-1")
         assert code == 2 and "rho must be positive" in err
-    for m_max, lambda_max in (("0", "60"), ("9", "0")):
-        code, out, err = run_cli(capsys, "verify-range", "--m-max", m_max,
-                                 "--lambda-max", lambda_max, "--workers", "1")
-        assert code == 2 and "must both be >= 1" in err and out == ""
 
 
 @pytest.mark.parametrize("argv", [
@@ -204,7 +177,6 @@ def test_usage_errors_exit_two(capsys):
     ("assign", "--algo", "greedy", "--bags", "1", "--speeds", "1"),
     ("assign", "--algo", "integral", "--bags", "1", "--speeds", "1"),
     ("tables", "--which", "f"),
-    ("verify-range", "--m-max", "2", "--lambda-max", "2", "--workers", "1"),
 ])
 def test_zero_rho_exits_two(capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--rho", "0")
@@ -287,25 +259,6 @@ def test_probe_rows_carry_each_configuration_optimum(capsys):
     assert code == 0
     assert [(r["speeds"], r["best_makespan"], r["probe"]) for r in rows_from_json(out)] == [
         ("2 2", "3/2", "3/2"), ("3 1", "1", "3/2")]
-
-
-def test_workers_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("SPEEDROBUST_WORKERS", "1")
-    from speedrobust.cli import _default_workers
-
-    assert _default_workers() == 1
-    monkeypatch.delenv("SPEEDROBUST_WORKERS")
-    assert _default_workers() >= 1
-
-
-def test_bad_workers_env_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SPEEDROBUST_WORKERS", "abc")
-    code, out, err = run_cli(capsys, "verify-range", "--m-max", "2", "--lambda-max", "2")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "SPEEDROBUST_WORKERS" in err
-    # commands that take no worker count do not read it
-    code, _, _ = run_cli(capsys, "surplus", "--lam", "3")
-    assert code == 0
 
 
 def test_bags_bricks_short_of_n_exits_one(capsys):

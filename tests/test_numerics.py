@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+import speedrobust as sr
 from speedrobust.numerics import ceil_div, floor_scale, format_rational, parse_rational
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999)
@@ -88,3 +89,24 @@ def test_parse_rejects_inexact_or_malformed(bad):
 def test_parse_accepts_signs_and_whitespace():
     assert parse_rational(" -7/2 ") == Fraction(-7, 2)
     assert parse_rational("42") == 42
+
+
+@pytest.mark.parametrize("call", [
+    lambda: floor_scale(10, 0.3),  # Fraction(0.3) is just below 3/10: the floor would be 2
+    lambda: sr.FractionalSolution({1: 0.1}, 1),
+    lambda: sr.FractionalSolution({1: 1}, 1.0),
+    lambda: sr.bricks_bags(20, 3, 3, 1.15),
+    lambda: sr.bricks_fractional(1.5, 1, 1),
+    lambda: sr.solution_size(sr.bricks_by_cost(3, 2, 2), 1.6),
+    lambda: sr.transformation_factor(3, 1.6),
+    lambda: sr.normalized_surplus(0.1),
+    lambda: sr.surplus_breakpoints(10.5),
+    lambda: sr.greedy_assignment(sr.BagProfile([1]), sr.SpeedProfile([1]), 1.1),
+    lambda: sr.integral_assignment([1], [1], 1.6),
+    lambda: sr.verify_bricks_success_range(2, 2, rho=1.6),
+], ids=["floor_scale", "counts", "budget", "bricks_bags", "bricks_fractional", "solution_size",
+        "transformation_factor", "normalized_surplus", "surplus_breakpoints", "greedy",
+        "integral", "success_range"])
+def test_exact_code_refuses_floats(call):
+    with pytest.raises(ValueError, match="floats are rejected"):
+        call()

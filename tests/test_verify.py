@@ -116,6 +116,27 @@ def test_success_range_workers_agree_with_serial():
     assert serial.payload(include_elapsed=False) == parallel.payload(include_elapsed=False)
 
 
+def test_success_range_starts_one_process_per_machine_chunk(monkeypatch):
+    pools = []
+
+    class InlinePool:  # records the pool size and maps in this process
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    report = verify_bricks_success_range(3, 4, workers=1000)
+    assert pools == [3] and report.ok and report.checked == 24
+
+
 def test_robustness_campaign_known_grids():
     for n, m in [(13, 10), (7, 7), (9, 4)]:
         report = verify_bricks_robustness(n, m)
@@ -205,7 +226,7 @@ def test_sand_campaign_refuses_negative_trials():
 
 
 def test_robustness_campaign_gate_grids_stay_exhaustive():
-    # acceptance criterion 9 and run_verification.py sweep n <= 40, m <= 8
+    # acceptance criterion 9 and `speedrobust run bricks-robustness` sweep n <= 40, m <= 8
     assert all(partition_count(n, m) <= EXHAUSTIVE_PROFILES
                for n in range(1, 41) for m in range(1, 9))
     assert verify_bricks_robustness(40, 8).grid["mode"] == "exhaustive"
