@@ -21,6 +21,7 @@ from fractions import Fraction
 from .bricks import (
     BRICK_ROBUSTNESS,
     bricks_bags,
+    decimal_string,
     factor_table,
     normalized_surplus,
     robust_bags,
@@ -66,8 +67,6 @@ def _parse_values(text: str) -> list[Fraction]:
             data = json.load(fh)
         if not isinstance(data, list):
             raise ValueError(f"{text[1:]} must hold a JSON array, got {type(data).__name__}")
-        if any(isinstance(v, bool) for v in data):
-            raise ValueError(f"true/false in {text[1:]}; use 'p/q' strings or integers")
         return [exact_rational(v) for v in data]
     except (ValueError, TypeError, OSError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -203,8 +202,11 @@ def _cmd_tables(args) -> int:
         rows = factor_table(args.zmax, args.rho)
     elif args.which == "surplus":
         rows = surplus_integer_table(args.lambda_max)
-    else:  # breakpoints
-        rows = surplus_breakpoint_table(Fraction(args.lambda_max) + 1)
+    else:  # breakpoints up to one past --lambda-max; none below 1
+        rows = surplus_breakpoint_table(Fraction(max(args.lambda_max, 0)) + 1)
+    if not rows:
+        given = f"--zmax {args.zmax}" if args.which == "f" else f"--lambda-max {args.lambda_max}"
+        raise ValueError(f"{given} gives an empty {args.which} table")
     _emit_rows(rows, args.format or "csv", sys.stdout)
     return 0
 
@@ -235,8 +237,6 @@ def _cmd_run(args) -> int:
 
 def _cmd_surplus(args) -> int:
     value = normalized_surplus(args.lam)
-    from .bricks import decimal_string
-
     rows = [{
         "lambda": format_rational(args.lam),
         "surplus": format_rational(value),

@@ -65,11 +65,14 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
 
     Floats are rejected like float literals are: ``Fraction(0.1)`` is the
     binary approximation 3602879701896397/36028797018963968, not 1/10.
+    Booleans are rejected too, rather than read as 1 and 0.
     """
     if isinstance(value, str):
         return parse_rational(value)
     if isinstance(value, float):
         raise ValueError(f"not an exact rational (floats are rejected): {value!r}")
+    if isinstance(value, bool):
+        raise ValueError(f"not an exact rational (true/false are rejected): {value!r}")
     return Fraction(value)
 
 

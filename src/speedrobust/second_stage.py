@@ -48,6 +48,39 @@ def _largest_first(costs: list[int], caps: list[int], resting: int, trace=None) 
     return owners
 
 
+def _coin_counterexample(costs: list[int], total: int, machines: int) -> list[int] | None:
+    """Caps on which :func:`_largest_first` fails to place ``costs``, or None if none exist.
+
+    The caps range over every partition of ``total`` into at most
+    ``machines`` parts, zero-padded.  Let C_k be the sum of the first k costs,
+    in the kernel's order.  The kernel fails on some caps iff some cost
+    c_k > ceil((total - C_{k-1}) / machines).
+
+    Proof.  Placing k - 1 bags leaves caps summing to total - C_{k-1}, whose
+    largest is at least that ceiling; so if no cost exceeds its ceiling,
+    every positive bag fits, and a zero-cost bag always does.  Conversely
+    every non-negative vector u summing to total - C_k is reachable after k
+    bags: add c_k to the largest entry of u, and the kernel, started from
+    that predecessor, takes c_k back off a largest entry.  Take the first
+    failing k; every earlier cost is at most its ceiling, which is at most
+    what is left, so total - C_{k-1} >= 0.  Split it as evenly as integers
+    allow, so its largest cap is the ceiling, below c_k, and add c_{k-1},
+    ..., c_1 back, each to the current largest cap.  Up to the order of
+    equal caps, the kernel retraces those steps and then fails at bag k.
+    """
+    spent = 0
+    for k, cost in enumerate(costs):
+        left = total - spent
+        if cost > -(-left // machines):
+            q, r = divmod(left, machines)
+            caps = [q + 1] * r + [q] * (machines - r)
+            for earlier in reversed(costs[:k]):
+                caps[caps.index(max(caps))] += earlier
+            return sorted(caps, reverse=True)
+        spent += cost
+    return None
+
+
 def _view(owners, steps, sizes, trace, value=int) -> Assignment | None:
     """Public form of a kernel run; ``value`` maps kernel units back to the caller's."""
     if trace is not None:

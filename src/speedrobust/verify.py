@@ -15,18 +15,17 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_total, robust_bags
 from .model import BagProfile, SpeedProfile
 from .numerics import exact_rational, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
-from .second_stage import _capacity_costs, _coin_costs, _largest_first, _to_common_ints
-from .second_stage import greedy_assignment
+from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
+from .second_stage import _to_common_ints, greedy_assignment
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
-EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids are sampled
+EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids get the reachability test alone
 CAMPAIGN_SEED = 20260808  # the sand campaign's random trials, unless a caller picks another
 
 # Bound once, so a tracer that rebinds this module's name SpeedProfile leaves it alone.
@@ -122,37 +121,6 @@ def partition_count(total: int, max_parts: int) -> int:
     return row[total] if total >= 0 else 0
 
 
-def _sample_partitions(
-    total: int, max_parts: int, samples: int, rng: random.Random
-) -> Iterator[tuple[int, ...]]:
-    """``samples`` uniform draws among :func:`_partitions`; counts are memoized per call."""
-
-    @lru_cache(maxsize=None)
-    def count(total: int, parts_left: int, cap: int) -> int:
-        if total == 0:
-            return 1
-        if parts_left == 0:
-            return 0
-        return sum(
-            count(total - first, parts_left - 1, first)
-            for first in range(min(cap, total), -(-total // parts_left) - 1, -1)
-        )
-
-    for _ in range(samples):
-        parts: list[int] = []
-        left, cap, parts_left = total, total, max_parts
-        while left > 0:
-            pick = rng.randrange(count(left, parts_left, cap))
-            for first in range(min(cap, left), 0, -1):
-                ways = count(left - first, parts_left - 1, first)
-                if pick < ways:
-                    break
-                pick -= ways
-            parts.append(first)
-            left, cap, parts_left = left - first, first, parts_left - 1
-        yield tuple(parts)
-
-
 # -- campaign: coin construction reaches total size n --------------------------
 
 def _success_range_chunk(args: tuple) -> tuple[int, list[dict]]:
@@ -211,49 +179,44 @@ def verify_bricks_success_range(
 
 # -- campaign: end-to-end robustness of the dispatcher bags --------------------
 
-def verify_bricks_robustness(
-    jobs: int,
-    machines: int,
-    samples: int = 1000,
-    seed: int = 0,
-) -> VerificationReport:
+def verify_bricks_robustness(jobs: int, machines: int) -> VerificationReport:
     """Check the coin-paying assigner places the dispatcher's bags everywhere.
 
-    Builds the bag profile once, then walks integral speed profiles summing
-    to the job count and requires the assignment to succeed at factor 8/5 on
-    each.  Grids with at most ``EXHAUSTIVE_PROFILES`` profiles are exhaustive;
-    larger ones check ``samples`` uniformly random partitions instead.  Each
-    profile runs the assigners' integer kernel directly, on coin costs
-    computed once, and builds no assignment.  ``samples`` must be at least 1,
-    so a sampled grid never reports an empty certificate.
+    Builds the bag profile once and requires the assignment to succeed at
+    factor 8/5 on every integral speed profile summing to the job count.
+    Grids with at most ``EXHAUSTIVE_PROFILES`` profiles walk them all: each
+    runs the assigners' integer kernel directly, on coin costs computed once,
+    and builds no assignment.  Larger grids get the exact reachability test
+    of ``_coin_counterexample`` instead, which covers every profile at once:
+    ``checked`` counts them all, and a failure is the one it constructs.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     start = time.perf_counter()
     profile = robust_bags(jobs, machines, machines)
     costs = _coin_costs([int(a) for a in profile.sizes], BRICK_ROBUSTNESS)
-    exhaustive = partition_count(jobs, machines) <= EXHAUSTIVE_PROFILES
-    walk = (_partitions(jobs, machines, jobs) if exhaustive
-            else _sample_partitions(jobs, machines, samples, random.Random(seed)))
+    profiles = partition_count(jobs, machines)
+    exhaustive = profiles <= EXHAUSTIVE_PROFILES
     checked = 0
-    failures: list[dict] = []
-    for parts in walk:
-        checked += 1
-        # The zero speeds left out of the caps can never pay a positive cost.
-        if _largest_first(costs, list(parts), 0) is None:
-            failures.append({
-                "n": jobs,
-                "m": machines,
-                "speeds": list(parts) + [0] * (machines - len(parts)),
-                "reason": "coin assignment failed at 8/5",
-            })
+    failing: list[list[int]] = []
+    if exhaustive:
+        for parts in _partitions(jobs, machines, jobs):
+            checked += 1
+            # The zero speeds left out of the caps can never pay a positive cost.
+            if _largest_first(costs, list(parts), 0) is None:
+                failing.append(list(parts) + [0] * (machines - len(parts)))
+    else:
+        checked = profiles
+        speeds = _coin_counterexample(costs, jobs, machines)
+        if speeds is not None:
+            failing.append(speeds)
+    failures = [{"n": jobs, "m": machines, "speeds": speeds,
+                 "reason": "coin assignment failed at 8/5"} for speeds in failing]
 
     elapsed = int((time.perf_counter() - start) * 1000)
     grid = {
         "campaign": "bricks-robustness",
         "n": jobs,
         "m": machines,
-        "mode": "exhaustive" if exhaustive else f"sampled:{samples}:seed={seed}",
+        "mode": "exhaustive" if exhaustive else "reachability",
         "rho": format_rational(BRICK_ROBUSTNESS),
     }
     return VerificationReport(grid, checked, failures, elapsed)

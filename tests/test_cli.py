@@ -131,6 +131,18 @@ def test_tables_default_to_csv(capsys):
     assert rows[0]["lambda"] == "3.667" and rows[0]["surplus"] == "0.167"
 
 
+@pytest.mark.parametrize("which,option,value", [
+    ("f", "--zmax", "1"),  # the factor table starts at cost 2
+    ("surplus", "--lambda-max", "0"),
+    ("breakpoints", "--lambda-max", "-5"),  # named as given, not as -4
+    ("breakpoints", "--lambda-max", "2"),  # the first breakpoint is at 11/3
+])
+def test_tables_refuse_empty_output(capsys, which, option, value):
+    code, out, err = run_cli(capsys, "tables", "--which", which, option, value)
+    assert code == 2 and out == ""
+    assert "error:" in err and f"{option} {value} gives an empty" in err
+
+
 def test_surplus_value(capsys):
     code, out, _ = run_cli(capsys, "surplus", "--lam", "11/3")
     assert code == 0

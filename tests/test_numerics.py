@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import speedrobust as sr
-from speedrobust.numerics import ceil_div, floor_scale, format_rational, parse_rational
+from speedrobust.numerics import ceil_div, exact_rational, floor_scale, format_rational, parse_rational
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999)
 positive_rationals = st.fractions(
@@ -109,4 +109,14 @@ def test_parse_accepts_signs_and_whitespace():
         "integral", "success_range"])
 def test_exact_code_refuses_floats(call):
     with pytest.raises(ValueError, match="floats are rejected"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_rational(False),
+    lambda: sr.Instance([True, 2], 2, 2),  # not the jobs 2 and 1
+    lambda: sr.SpeedProfile([True]),  # not the speed 1
+], ids=["exact_rational", "instance", "speed_profile"])
+def test_exact_code_refuses_booleans(call):
+    with pytest.raises(ValueError, match="true/false are rejected"):
         call()

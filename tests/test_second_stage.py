@@ -16,11 +16,14 @@ from speedrobust.model import (
 )
 from speedrobust.numerics import ceil_div
 from speedrobust.second_stage import (
+    _coin_counterexample,
+    _largest_first,
     _search_min_makespan,
     greedy_assignment,
     integral_assignment,
     optimal_second_stage,
 )
+from speedrobust.verify import _partitions
 
 
 def naive_min_makespan(bags: BagProfile, speeds: SpeedProfile) -> Fraction:
@@ -408,3 +411,25 @@ def test_direct_optimum_known_values():
     assert optimal_second_stage(BagProfile([1] * 13), SpeedProfile([4, 3, 3, 2, 1]))[0] == 1
     assert optimal_second_stage(BagProfile([3, 2]), SpeedProfile([5]))[0] == 1
     assert optimal_second_stage(BagProfile([2, 2, 1]), SpeedProfile([3, 2]))[0] == 1
+
+
+# Costs in any order, zeros included: the lemma holds for the kernel's order, not only sorted bags.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 8), max_size=8),
+    st.integers(1, 24),
+    st.integers(1, 6),
+)
+@example([2], 3, 2)  # a cost equal to the ceiling fits, and the floor would be below it
+@example([1, 2, 2], 5, 2)  # [4, 1] is the only split of 5 on which these costs fail
+def test_coin_counterexample_matches_the_partition_walk(costs, total, machines):
+    def fails(caps):
+        return _largest_first(costs, list(caps), 0) is None
+
+    walk = [parts + (0,) * (machines - len(parts)) for parts in _partitions(total, machines, total)]
+    caps = _coin_counterexample(costs, total, machines)
+    assert (caps is None) == (not any(map(fails, walk)))
+    if caps is not None:
+        assert len(caps) == machines and sum(caps) == total and caps[-1] >= 0
+        assert caps == sorted(caps, reverse=True)
+        assert fails(caps)

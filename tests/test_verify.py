@@ -204,18 +204,40 @@ def test_robustness_campaign_samples_grids_over_the_budget(monkeypatch):
         raise AssertionError("an over-budget grid must not be enumerated")
 
     monkeypatch.setattr(verify, "_partitions", no_walk)
-    for n, m in [(200, 10), (100, 12)]:
+    for n, m in [(200, 10), (100, 12), (1000, 20), (3000, 50)]:
         assert partition_count(n, m) > EXHAUSTIVE_PROFILES
-        report = verify_bricks_robustness(n, m, samples=20, seed=1)
-        assert report.grid["mode"] == "sampled:20:seed=1"
-        assert report.ok and report.checked == 20
+        report = verify_bricks_robustness(n, m)
+        assert report.grid["mode"] == "reachability"
+        assert report.ok and report.checked == partition_count(n, m)
 
 
-@pytest.mark.parametrize("n,m", [(200, 10), (13, 10)])
-@pytest.mark.parametrize("samples", [0, -3])
-def test_robustness_campaign_refuses_an_empty_sample(n, m, samples):
-    with pytest.raises(ValueError, match="samples must be >= 1"):
-        verify_bricks_robustness(n, m, samples=samples)
+@pytest.mark.parametrize("n,m", [(100, 12), (200, 10)])
+def test_robustness_campaign_reports_the_reachability_counterexample(monkeypatch, n, m):
+    # At 3/2 the dispatcher's 8/5 bags cost more coins than some speed profile can pay.
+    monkeypatch.setattr(verify, "BRICK_ROBUSTNESS", Fraction(3, 2))
+    report = verify_bricks_robustness(n, m)
+    assert report.grid["mode"] == "reachability" and report.checked == partition_count(n, m)
+    [failure] = report.failures
+    assert failure.keys() == {"n", "m", "speeds", "reason"}
+    assert (failure["n"], failure["m"]) == (n, m)
+    speeds = failure["speeds"]
+    assert len(speeds) == m and sum(speeds) == n and speeds == sorted(speeds, reverse=True)
+    bags = [int(a) for a in robust_bags(n, m, m).sizes]
+    assert integral_assignment(bags, speeds, Fraction(3, 2)) is None
+
+
+@pytest.mark.parametrize("rho", [BRICK_ROBUSTNESS, Fraction(3, 2)])
+def test_reachability_mode_agrees_with_the_walk(monkeypatch, rho):
+    # At 3/2, 30 of these cells fail; the constructed failure must be one the walk finds.
+    monkeypatch.setattr(verify, "BRICK_ROBUSTNESS", rho)
+    cells = [(n, m) for n in range(1, 25) for m in range(1, 7)]
+    walked = [verify_bricks_robustness(*cell) for cell in cells]
+    monkeypatch.setattr(verify, "EXHAUSTIVE_PROFILES", 0)
+    for cell, walk in zip(cells, walked):
+        decided = verify_bricks_robustness(*cell)
+        assert decided.grid["mode"] == "reachability" and decided.checked == walk.checked
+        assert decided.ok == walk.ok, cell
+        assert all(f in walk.failures for f in decided.failures), cell
 
 
 def test_sand_campaign_refuses_negative_trials():
@@ -235,18 +257,18 @@ def test_robustness_campaign_gate_grids_stay_exhaustive():
 def test_partition_counts_leave_no_module_memo():
     assert partition_count(200, 10) > EXHAUSTIVE_PROFILES
     assert partition_count(100, 12) > EXHAUSTIVE_PROFILES
-    assert verify_bricks_robustness(100, 12, samples=20, seed=2).checked == 20
+    assert verify_bricks_robustness(100, 12).checked == partition_count(100, 12)
     memos = [value for value in vars(verify).values() if hasattr(value, "cache_info")]
     assert all(memo.cache_info().currsize == 0 for memo in memos)
 
 
 def test_robustness_campaign_samples_large_grids():
-    report = verify_bricks_robustness(100, 12, samples=200, seed=4)
-    assert report.ok
-    assert report.checked == 200
-    assert report.grid["mode"].startswith("sampled")
-    again = verify_bricks_robustness(100, 12, samples=200, seed=4)
-    assert report.payload(include_elapsed=False) == again.payload(include_elapsed=False)
+    report = verify_bricks_robustness(100, 12)
+    assert report.ok and report.grid["mode"] == "reachability"
+    again = verify_bricks_robustness(100, 12)
+    payload_a = json.dumps(report.payload(include_elapsed=False), sort_keys=True)
+    payload_b = json.dumps(again.payload(include_elapsed=False), sort_keys=True)
+    assert payload_a == payload_b
 
 
 def test_sand_campaign_clean_and_deterministic():
