@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import truediv
 
-from .model import BagProfile, FractionalSolution, Infeasible, Instance
+from .model import BagProfile, FractionalSolution, Infeasible
 from .numerics import ceil_div, exact_rational, floor_scale, format_rational
-from .pebbles import pebbles_bags
+from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
 
@@ -71,24 +72,61 @@ def _coin_levels(coins, machines, bags, count):
         coins -= x * z
 
 
-def _coin_total(jobs: int, machines: int, rho_num: int, rho_den: int) -> int:
-    """Total size of the integral coin construction with b = m, in plain integers.
+def _coin_totals(machines: int, top: int, rho_num: int, rho_den: int) -> list[int]:
+    """Total size of the integral coin construction with b = m, for every job count 0..``top``.
 
-    Equals solution_size(bricks_by_cost(jobs, machines, machines), rho).  The
-    success sweep calls it once per cell, so the recurrence stays fused with the
-    sizes: summing :func:`_coin_levels` took 0.42 s against 0.17 s for this loop
-    on the 118,240-cell benchmark staircase (Python 3.11, 2 CPUs).
+    Entry n equals solution_size(bricks_by_cost(n, machines, machines), rho)
+    for rho = rho_num / rho_den, in plain integers, from one pass over the
+    coin counts instead of one recurrence per n.
+
+    Without the bag cap, the level paid from c coins depends only on c:
+    z = ceil(c / m), x = ceil((c - m(z - 1)) / z) >= 1, and the next coin count
+    is c - x*z < c.  So the counts 0..top form a tree rooted at 0, and one pass
+    in increasing c fills ``bags[c]`` and ``size[c]``, the bags and the size
+    that the levels from c pay until the coins run out.
+
+    The capped recurrence from n walks n's path to the root.  It pays whole
+    levels while the bags used stay <= m, then m - used bags at the cost of
+    the next level.  ``bags`` strictly increases away from the root, so the cut
+    is the ancestor a with bags[a] >= bags[n] - m > bags[parent(a)], and the
+    total is size[n] - size[a] + (m - bags[n] + bags[a]) * floor(z_a * rho).
+    When bags[n] <= m no level is cut and the total is size[n].
+
+    The cut is found with skew-binary jump pointers (Myers, "An applicative
+    random-access stack", 1983): each node's jump is set in the same pass from
+    its parent's, and the search takes O(log depth) steps.
     """
-    coins, bags_left, size = jobs, machines, 0
-    while bags_left > 0 and coins > 0:
-        z = -(-coins // machines)
-        x = -(-(coins - machines * (z - 1)) // z)
-        if x > bags_left:
-            x = bags_left
-        coins -= x * z
-        bags_left -= x
-        size += x * ((z * rho_num) // rho_den)
-    return size
+    m = machines
+    parent = [0] * (top + 1)
+    jump = [0] * (top + 1)
+    depth = [0] * (top + 1)
+    bags = [0] * (top + 1)
+    parent_bags = [0] * (top + 1)  # bags[parent[c]], read on every step of the search
+    size = [0] * (top + 1)
+    level_size = [0] * (top + 1)  # floor(z * rho), the size of one bag of the level paid from c
+    totals = [0] * (top + 1)
+    for c in range(1, top + 1):
+        z = -(-c // m)
+        x = -(-(c - m * (z - 1)) // z)
+        p = c - x * z
+        unit = (z * rho_num) // rho_den
+        parent[c] = p
+        level_size[c] = unit
+        parent_bags[c] = bags[p]
+        b = bags[c] = bags[p] + x
+        total = size[c] = size[p] + x * unit
+        depth[c] = depth[p] + 1
+        j = jump[p]
+        jump[c] = jump[j] if depth[p] - depth[j] == depth[j] - depth[jump[j]] else p
+        if b > m:
+            least = b - m  # bags[a] >= least: the levels below the cut fit in m bags
+            a = c
+            while parent_bags[a] >= least:
+                j = jump[a]
+                a = j if bags[j] >= least else parent[a]
+            total += (m - b + bags[a]) * level_size[a] - size[a]
+        totals[c] = total
+    return totals
 
 
 def bricks_bags(jobs: int, machines: int, bags: int, rho: Fraction) -> BrickSolution:
@@ -154,12 +192,21 @@ def bricks_fractional(jobs: Fraction, machines: Fraction, bags: Fraction) -> Fra
 
 
 def solution_size(solution: FractionalSolution, rho: Fraction) -> Fraction:
-    """Total bag size of a cost-indexed solution: sum of count * floor(cost * rho)."""
+    """Total bag size of a cost-indexed solution: sum of count * floor(cost * rho).
+
+    Summed in integers over the counts' common denominator, so each level
+    costs one integer product rather than a ``Fraction`` product and sum.
+    """
     rho = exact_rational(rho)
-    return sum(
-        (x * floor_scale(z, rho) for z, x in solution.counts.items()),
-        Fraction(0),
-    )
+    if rho <= 0:
+        raise ValueError(f"rho must be positive, got {rho}")
+    num, den = rho.numerator, rho.denominator
+    d = 1
+    for x in solution.counts.values():
+        d = lcm(d, x.denominator)
+    total = sum(x.numerator * (d // x.denominator) * (z * num // den)
+                for z, x in solution.counts.items())
+    return Fraction(total, d)
 
 
 def transformation_factor(cost: int, rho: Fraction) -> Fraction:
@@ -244,7 +291,9 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     Up to 60 jobs per machine this is the coin construction at factor 8/5,
     trimmed to the job count, when its sizes reach the job count.  Otherwise
     it is the greedy small-jobs packing at
-    ``sand_robustness(machines, bags) + machines / jobs``.
+    ``sand_robustness(machines, bags) + machines / jobs``, in closed form:
+    the sizes of :func:`pebbles_bags` on the unit jobs, from O(bags) integer
+    steps rather than one step per job.
 
     With bags == machines the coin sizes reach the job count and the
     coin-paying assigner places them at 8/5 on every integral speed profile
@@ -259,14 +308,13 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
         solution = bricks_bags(jobs, machines, bags, BRICK_ROBUSTNESS)
         if solution.successful:
             return BagProfile(trim_to_total(solution, jobs).bag_sizes)
-    instance = Instance([Fraction(1)] * jobs, machines, bags)
     rho = sand_robustness(machines, bags) + Fraction(machines, jobs)
-    result = pebbles_bags(instance, rho)
-    if not result.packed_all:
+    sizes = _unit_pebbles(jobs, machines, bags, rho)
+    if sum(sizes) < jobs:
         raise Infeasible(
             f"no construction packed jobs={jobs} machines={machines} bags={bags}"
         )
-    return BagProfile(result.bag_sizes)
+    return BagProfile(sizes)
 
 
 # -- table emission ------------------------------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping
 
 from .numerics import exact_rational
@@ -154,15 +155,19 @@ class FractionalSolution:
     def __init__(self, counts: Mapping[int, Fraction | int], bag_budget: Fraction | int):
         budget = exact_rational(bag_budget)
         clean: dict[int, Fraction] = {}
+        d = budget.denominator
         for z, x in counts.items():
             if z < 1:
                 raise ValueError(f"bag cost must be >= 1, got {z}")
             fx = exact_rational(x)
-            if fx < 0:
+            if fx.numerator < 0:  # the sign on the integer, not a Fraction comparison
                 raise ValueError(f"negative bag count for cost {z}: {fx}")
-            if fx > 0:
+            if fx.numerator:
                 clean[int(z)] = fx
-        if sum(clean.values(), Fraction(0)) > budget:
+                d = lcm(d, fx.denominator)
+        # The budget test in integers: the counts and the budget over their common denominator d.
+        used = sum(x.numerator * (d // x.denominator) for x in clean.values())
+        if used > budget.numerator * (d // budget.denominator):
             raise ValueError("bag counts exceed the bag budget")
         self.counts = clean
         self.bag_budget = budget

@@ -88,3 +88,24 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
         bag_sizes=tuple(Fraction(s, d) for s in sizes),
         packed_all=len(bag_of_job) == len(scaled),
     )
+
+
+def _unit_pebbles(jobs: int, machines: int, bags: int, rho: Fraction) -> list[int]:
+    """Bag sizes, in packing order, of :func:`pebbles_bags` on ``jobs`` unit jobs, in O(bags).
+
+    With unit jobs, d = 1 and T = jobs, so with cap = floor(rho * jobs) bag k
+    takes jobs while m * (S + 1) + P <= cap: it gets (cap - P) // m of the
+    jobs left, where P is the sum of the earlier bags.  P never exceeds cap,
+    because each bag keeps m * S + P <= cap.  The jobs are all packed iff the
+    sizes sum to ``jobs``.  ``rho`` is a Fraction >= 1, as for
+    :func:`pebbles_bags`.
+    """
+    cap = rho.numerator * jobs // rho.denominator
+    sizes = []
+    left, prefix = jobs, 0
+    for _ in range(bags):
+        s = min(left, (cap - prefix) // machines)
+        sizes.append(s)
+        left -= s
+        prefix += s
+    return sizes

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
-from .bricks import BRICK_ROBUSTNESS, _coin_total, robust_bags
+from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
 from .model import BagProfile, SpeedProfile
 from .numerics import exact_rational, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
@@ -128,11 +128,10 @@ def _success_range_chunk(args: tuple) -> tuple[int, list[dict]]:
     checked = 0
     failures: list[dict] = []
     for m in machine_values:
-        for n in range(1, lambda_max * m + 1):
-            size = _coin_total(n, m, rho_num, rho_den)
-            checked += 1
-            if size < n:
-                failures.append({"n": n, "m": m, "reason": f"total size {size} < {n}"})
+        totals = _coin_totals(m, lambda_max * m, rho_num, rho_den)
+        checked += lambda_max * m
+        failures += [{"n": n, "m": m, "reason": f"total size {size} < {n}"}
+                     for n, size in enumerate(totals) if size < n]
     return checked, failures
 
 
@@ -145,10 +144,12 @@ def verify_bricks_success_range(
     """Check the coin construction reaches total size n on the whole grid.
 
     Sweeps every machine count up to ``m_max`` and every job count up to
-    ``lambda_max`` times it, with bag count equal to machine count, using the
-    cost-batched generator.  Any instance whose bag sizes total below n is a
-    failure record.  An empty grid (``m_max`` or ``lambda_max`` below 1)
-    raises ``ValueError`` rather than certifying nothing.
+    ``lambda_max`` times it, with bag count equal to machine count.  Each
+    machine count takes one pass of ``bricks._coin_totals``, which gives the
+    total size for every job count at once.  Any instance whose bag sizes
+    total below n is a failure record.  An empty grid (``m_max`` or
+    ``lambda_max`` below 1) raises ``ValueError`` rather than certifying
+    nothing.
     """
     if m_max < 1 or lambda_max < 1:
         raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")

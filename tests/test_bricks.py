@@ -188,6 +188,29 @@ def test_solution_size_known_values():
     assert solution_size(bricks_by_cost(45, 9, 9), BRICK_ROBUSTNESS) == 46
     assert solution_size(bricks_fractional(11, 3, 3), BRICK_ROBUSTNESS) == Fraction(23, 2)
     assert solution_size(FractionalSolution({}, 3), BRICK_ROBUSTNESS) == 0
+    # a Fraction even when the total is whole: the benchmark digest writes Fraction and int apart
+    for solution in (bricks_by_cost(45, 9, 9), bricks_fractional(9, 3, 3), FractionalSolution({}, 3)):
+        assert type(solution_size(solution, BRICK_ROBUSTNESS)) is Fraction
+
+
+def _fraction_solution_size(solution, rho):
+    # reference: the former per-level Fraction sum
+    return sum((x * floor_scale(z, rho) for z, x in solution.counts.items()), Fraction(0))
+
+
+@settings(max_examples=80)
+@given(st.tuples(positive_rationals, positive_rationals, positive_rationals),
+       st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(159, 100), BRICK_ROBUSTNESS,
+                        Fraction(7, 3), Fraction(1, 3)]))
+def test_solution_size_matches_the_fraction_sum(args, rho):
+    solution = bricks_fractional(*args)
+    assert solution_size(solution, rho) == _fraction_solution_size(solution, rho), (args, rho)
+
+
+def test_solution_size_refuses_a_non_positive_rho():
+    for rho in (0, Fraction(-1, 2)):
+        with pytest.raises(ValueError, match="rho must be positive"):
+            solution_size(bricks_by_cost(3, 2, 2), rho)
 
 
 def test_transformation_factor_known_values():

@@ -131,3 +131,15 @@ def test_fractional_solution_validation():
         FractionalSolution({1: -1}, 1)
     with pytest.raises(ValueError):
         FractionalSolution({1: 3}, 2)
+
+
+def test_fractional_solution_budget_is_exact():
+    counts = {3: Fraction(1, 3), 2: Fraction(5, 7), 1: Fraction(2, 11)}
+    budget = sum(counts.values(), Fraction(0))
+    assert FractionalSolution(counts, budget).total_bags == budget
+    assert FractionalSolution({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1).total_bags == 1
+    over = {**counts, 4: Fraction(1, 10**12)}
+    with pytest.raises(ValueError, match="exceed the bag budget"):
+        FractionalSolution(over, budget)
+    with pytest.raises(ValueError, match="exceed the bag budget"):
+        FractionalSolution({1: 1}, 1 - Fraction(1, 10**12))

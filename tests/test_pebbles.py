@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import PEBBLES_CUTOVER, robust_bags
 from speedrobust.model import Instance, SpeedProfile
-from speedrobust.pebbles import PebblesResult, pebble_ratio, pebbles_bags, reference_sequence
+from speedrobust.pebbles import (
+    PebblesResult, _unit_pebbles, pebble_ratio, pebbles_bags, reference_sequence,
+)
 from speedrobust.sand import sand_bags, sand_robustness
 from speedrobust.second_stage import greedy_assignment
 from speedrobust.model import BagProfile
@@ -181,6 +184,33 @@ def test_dispatcher_past_cutover_equals_fraction_loop_profile():
         reference = _fraction_loop_pebbles(Instance([1] * n, m, m), rho)
         assert reference.packed_all
         assert robust_bags(n, m, m) == BagProfile(reference.bag_sizes)
+
+
+def test_unit_jobs_closed_form_equals_the_packing():
+    rng = random.Random(11)
+    jobs = list(range(1, 50)) + sorted(rng.sample(range(50, 600), 6))
+    checked = 0
+    for m in range(1, 9):
+        for b in sorted({1, m - 1, m, m + 1, 2 * m} - {0}):
+            rhos = {Fraction(1), Fraction(3, 2), sand_robustness(m, b)}
+            for n in jobs:
+                instance = Instance([1] * n, m, b)
+                for rho in rhos | {sand_robustness(m, b) + Fraction(m, n)}:
+                    sizes = _unit_pebbles(n, m, b, rho)
+                    reference = pebbles_bags(instance, rho)
+                    assert tuple(map(Fraction, sizes)) == reference.bag_sizes, (n, m, b, rho)
+                    assert (sum(sizes) == n) == reference.packed_all, (n, m, b, rho)
+                    checked += 1
+    assert checked > 5_000
+
+
+def test_dispatcher_past_cutover_packs_a_million_jobs_in_closed_form():
+    start = time.perf_counter()
+    profile = robust_bags(10**6, 8, 8)
+    assert time.perf_counter() - start < 0.1
+    # the sizes the one-job-at-a-time packing gave
+    assert [int(a) for a in profile.sizes] == [
+        190436, 166631, 145802, 127577, 111630, 97676, 85467, 74781]
 
 
 def test_float_rho_is_refused():

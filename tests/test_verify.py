@@ -3,8 +3,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_total, bricks_by_cost, solution_size
+from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_totals, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
 from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
@@ -66,14 +67,56 @@ def test_full_utilization_under_unit_jobs():
             assert optimal_second_stage(BagProfile([1] * n), profile)[0] == 1
 
 
+def _coin_total(jobs: int, machines: int, rho_num: int, rho_den: int) -> int:
+    """Reference: the coin recurrence with b = m for one job count, fused with the sizes."""
+    coins, bags_left, size = jobs, machines, 0
+    while bags_left > 0 and coins > 0:
+        z = -(-coins // machines)
+        x = -(-(coins - machines * (z - 1)) // z)
+        if x > bags_left:
+            x = bags_left
+        coins -= x * z
+        bags_left -= x
+        size += x * ((z * rho_num) // rho_den)
+    return size
+
+
 def test_fast_sweep_size_matches_library_route():
     rng = random.Random(3)
     pairs = [(n, m) for m in range(1, 9) for n in range(1, 3 * m + 1)]
     pairs += [(rng.randint(1, 60 * 20), rng.randint(1, 20)) for _ in range(200)]
     for rho in (BRICK_ROBUSTNESS, Fraction(159, 100)):
+        totals = {m: _coin_totals(m, 60 * 20, rho.numerator, rho.denominator) for m in range(1, 21)}
         for n, m in pairs:
-            fast = _coin_total(n, m, rho.numerator, rho.denominator)
+            fast = totals[m][n]
             assert fast == solution_size(bricks_by_cost(n, m, m), rho), (n, m, rho)
+            assert fast == _coin_total(n, m, rho.numerator, rho.denominator), (n, m, rho)
+
+
+RHOS = [Fraction(1), Fraction(3, 2), Fraction(159, 100), BRICK_ROBUSTNESS, Fraction(2), Fraction(7, 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(1, 60), rho=st.sampled_from(RHOS), data=st.data())
+def test_coin_totals_match_the_per_cell_recurrence(m, rho, data):
+    top = data.draw(st.integers(0, 60 * m), label="top")
+    totals = _coin_totals(m, top, rho.numerator, rho.denominator)
+    assert len(totals) == top + 1
+    for n in range(top + 1):
+        assert totals[n] == _coin_total(n, m, rho.numerator, rho.denominator), (n, m, rho)
+
+
+@pytest.mark.parametrize("m,top", [(1, 0), (1, 500), (7, 0), (7, 3), (12, 11), (60, 59)])
+def test_coin_totals_edge_cases(m, top):
+    # one machine, no jobs, and fewer jobs than machines (every level is one coin)
+    for rho in RHOS:
+        totals = _coin_totals(m, top, rho.numerator, rho.denominator)
+        assert totals == [_coin_total(n, m, rho.numerator, rho.denominator) for n in range(top + 1)]
+    assert _coin_totals(m, top, 8, 5)[0] == 0
+    if top < m:
+        assert _coin_totals(m, top, 8, 5) == list(range(top + 1))
+    if m == 1:
+        assert _coin_totals(1, top, 8, 5) == [8 * n // 5 for n in range(top + 1)]
 
 
 def test_success_range_clean_at_target_factor():
