@@ -27,7 +27,7 @@ from .model import (
     SpeedProfile,
     makespan,
 )
-from .numerics import Rational, ceil_div, floor_scale, format_rational, parse_rational
+from .numerics import ceil_div, floor_scale, format_rational, parse_rational
 from .pebbles import PebblesResult, pebble_ratio, pebbles_bags, reference_sequence
 from .sand import (
     GeometricSkeleton,

@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
-from .numerics import ceil_div, exact_rational, floor_scale, format_rational
+from .numerics import _to_common_ints, ceil_div, exact_rational, floor_scale, format_rational
 from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -201,12 +200,8 @@ def solution_size(solution: FractionalSolution, rho: Fraction) -> Fraction:
     if rho <= 0:
         raise ValueError(f"rho must be positive, got {rho}")
     num, den = rho.numerator, rho.denominator
-    d = 1
-    for x in solution.counts.values():
-        d = lcm(d, x.denominator)
-    total = sum(x.numerator * (d // x.denominator) * (z * num // den)
-                for z, x in solution.counts.items())
-    return Fraction(total, d)
+    counts, d = _to_common_ints(solution.counts.values())
+    return Fraction(sum(x * (z * num // den) for z, x in zip(solution.counts, counts)), d)
 
 
 def transformation_factor(cost: int, rho: Fraction) -> Fraction:

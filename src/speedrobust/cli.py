@@ -4,10 +4,11 @@ Every subcommand except ``run`` prints structured data: JSON by default, CSV
 with ``--format csv`` (the table emitters default to CSV since they exist to be
 pasted into other tools).  ``run`` prints one summary line per campaign of
 :data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by its failure
-records as one JSON object per line, then the verdict.  Exit status is 0 on
-success, 1 when a verification, assignment or bag build reports failure, 2 on
-usage errors.  Rationals on the command line are ``p/q`` or plain integers;
-float syntax is rejected.
+records as one JSON object per line, then the verdict; the campaigns run in a
+pool of one process per usable CPU, at most one per campaign.  Exit status is
+0 on success, 1 when a verification, assignment or bag build reports failure
+or standard output closes early, 2 on usage errors.  Rationals on the command
+line are ``p/q`` or plain integers; float syntax is rejected.
 """
 
 from __future__ import annotations
@@ -15,8 +16,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import multiprocessing
+import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
+from functools import partial
 
 from .bricks import (
     BRICK_ROBUSTNESS,
@@ -39,7 +44,7 @@ from .sand import (
     sand_robustness,
 )
 from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
-from .verify import CAMPAIGN_SEED, CAMPAIGNS
+from .verify import CAMPAIGN_SEED, CAMPAIGNS, Campaign
 
 
 def _rational(text: str) -> Fraction:
@@ -211,26 +216,38 @@ def _cmd_tables(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set, or the CPU count where there is none."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_run(args) -> int:
     unknown = [name for name in args.names if name not in CAMPAIGNS]
     if unknown:
         raise ValueError(f"unknown campaign {', '.join(unknown)}; choose from {', '.join(CAMPAIGNS)}")
-    if args.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {args.workers}")
+    selected = {name: campaign for name, campaign in CAMPAIGNS.items()
+                if not args.names or name in args.names}
     clean = True
-    for name, campaign in CAMPAIGNS.items():
-        if args.names and name not in args.names:
-            continue
-        report = campaign.run(args.quick, seed=args.seed, workers=args.workers)
-        met = campaign.meets(report, args.quick)
-        clean &= met
-        expected = "a witness" if campaign.witness else "clean"
-        print(f"{name:<17} : {'ok' if met else 'MISSED'} (expects {expected}) "
-              f"checked={report.checked} failures={len(report.failures)} "
-              f"elapsed={report.elapsed_ms}ms", flush=True)
-        if not met:
-            for record in report.failures:
-                print(json.dumps(record, sort_keys=True, default=str), flush=True)
+    # Whole campaigns go to the workers: their cells share per-campaign state.  Spawned
+    # workers import the package afresh, so each entry travels whole, by value.
+    pool = ProcessPoolExecutor(min(_usable_cpus(), len(selected)),
+                               mp_context=multiprocessing.get_context("spawn"))
+    try:
+        sweep = partial(Campaign.run, quick=args.quick, seed=args.seed)
+        for (name, campaign), report in zip(selected.items(), pool.map(sweep, selected.values())):
+            met = campaign.meets(report, args.quick)
+            clean &= met
+            expected = "a witness" if campaign.witness else "clean"
+            print(f"{name:<17} : {'ok' if met else 'MISSED'} (expects {expected}) "
+                  f"checked={report.checked} failures={len(report.failures)} "
+                  f"elapsed={report.elapsed_ms}ms", flush=True)
+            if not met:
+                for record in report.failures:
+                    print(json.dumps(record, sort_keys=True, default=str), flush=True)
+    finally:  # a reader that left early (| head) waits for no queued campaign
+        pool.shutdown(cancel_futures=True)
     print("ALL CLEAN" if clean else "FAILURES FOUND", flush=True)
     return 0 if clean else 1
 
@@ -298,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"campaigns to run, in table order (default all): {', '.join(CAMPAIGNS)}")
     p.add_argument("--quick", action="store_true", help="each campaign on its smaller grid")
     p.add_argument("--seed", type=int, default=CAMPAIGN_SEED)
-    p.add_argument("--workers", type=int, default=1, help="processes for success-range")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("surplus", help="normalized surplus at one jobs-per-machine ratio")
@@ -318,6 +334,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader left: write nothing more, and let the exit flush of stdout go to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

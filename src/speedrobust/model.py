@@ -9,10 +9,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Mapping
 
-from .numerics import exact_rational
+from .numerics import _to_common_ints, exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -155,7 +154,6 @@ class FractionalSolution:
     def __init__(self, counts: Mapping[int, Fraction | int], bag_budget: Fraction | int):
         budget = exact_rational(bag_budget)
         clean: dict[int, Fraction] = {}
-        d = budget.denominator
         for z, x in counts.items():
             if z < 1:
                 raise ValueError(f"bag cost must be >= 1, got {z}")
@@ -164,10 +162,9 @@ class FractionalSolution:
                 raise ValueError(f"negative bag count for cost {z}: {fx}")
             if fx.numerator:
                 clean[int(z)] = fx
-                d = lcm(d, fx.denominator)
-        # The budget test in integers: the counts and the budget over their common denominator d.
-        used = sum(x.numerator * (d // x.denominator) for x in clean.values())
-        if used > budget.numerator * (d // budget.denominator):
+        # The budget test in integers: the counts and the budget over their common denominator.
+        *used, cap = _to_common_ints([*clean.values(), budget])[0]
+        if sum(used) > cap:
             raise ValueError("bag counts exceed the bag budget")
         self.counts = clean
         self.bag_budget = budget

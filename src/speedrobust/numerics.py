@@ -3,14 +3,14 @@
 All quantities are rationals over arbitrary-precision integers; nothing in
 this package ever touches a float on a computation path.  The canonical
 rational type is :class:`fractions.Fraction` (always stored reduced, positive
-denominator), re-exported here as ``Rational``.
+denominator).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-
-Rational = Fraction
+from math import lcm
+from typing import Collection
 
 
 def floor_scale(units: int, rho: Fraction) -> int:
@@ -38,6 +38,14 @@ def ceil_div(amount: int, parts: int) -> int:
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     return -(-amount // parts)
+
+
+def _to_common_ints(values: Collection[Fraction]) -> tuple[list[int], int]:
+    """The values times their common denominator, and that denominator."""
+    # A list, not a generator: a tuple grown from a generator is parked on CPython's
+    # free lists when freed, and long sweeps then hold megabytes of them.
+    denom = lcm(*[v.denominator for v in values])
+    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def parse_rational(text: str) -> Fraction:

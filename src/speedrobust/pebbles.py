@@ -13,10 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .model import Instance
-from .numerics import exact_rational
+from .numerics import _to_common_ints, exact_rational
 from .sand import sand_bags
 
 
@@ -66,8 +65,7 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     if rho < 1:
         raise ValueError(f"rho must be >= 1, got {rho}")
     m, b = instance.machine_count, instance.bag_count
-    d = lcm(*{p.denominator for p in instance.job_sizes})
-    scaled = [p.numerator * (d // p.denominator) for p in instance.job_sizes]
+    scaled, d = _to_common_ints(instance.job_sizes)
     cap = rho.numerator * sum(scaled) // rho.denominator
 
     bag_of_job: dict[int, int] = {}

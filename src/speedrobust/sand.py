@@ -15,8 +15,8 @@ from fractions import Fraction
 from typing import Iterator
 
 from .model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
-from .numerics import exact_rational
-from .second_stage import _check_oracle_size, _search_min_makespan, _to_common_ints
+from .numerics import _to_common_ints, exact_rational
+from .second_stage import _check_oracle_size, _search_min_makespan
 
 
 @dataclass(frozen=True)

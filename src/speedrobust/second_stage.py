@@ -14,7 +14,7 @@ from math import lcm
 from typing import Sequence
 
 from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile
-from .numerics import exact_rational
+from .numerics import _to_common_ints, exact_rational
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
@@ -152,12 +152,6 @@ def integral_assignment(
     steps: list | None = [] if trace is not None else None
     owners = _largest_first(_coin_costs(sizes, rho), coins, _first_positive(coins), steps)
     return _view(owners, steps, sizes, trace)
-
-
-def _to_common_ints(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """The values times their common denominator, and that denominator."""
-    denom = lcm(*(v.denominator for v in values))
-    return [v.numerator * (denom // v.denominator) for v in values], denom
 
 
 def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction, list[int]]:

@@ -3,26 +3,26 @@
 Campaigns return a :class:`VerificationReport` rather than raising: failures
 are data.  A report with an empty failure list is the finite certificate that
 the swept claim holds on the stated grid.  All sweeps are deterministic for
-fixed inputs (including seeds); grid cells are independent, so the big range
-sweep can optionally fan out over processes.  :data:`CAMPAIGNS` is the one
-definition of the certifying campaigns, their grids and their expected outcomes.
+fixed inputs (including seeds) and run in the calling process; campaigns are
+independent of each other, so ``speedrobust run`` spreads whole campaigns over
+processes.  :data:`CAMPAIGNS` is the one definition of the certifying
+campaigns, their grids and their expected outcomes.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
 from .model import BagProfile, SpeedProfile
-from .numerics import exact_rational, format_rational
+from .numerics import _to_common_ints, exact_rational, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
-from .second_stage import _to_common_ints, greedy_assignment
+from .second_stage import greedy_assignment
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
 EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids get the reachability test alone
@@ -123,23 +123,10 @@ def partition_count(total: int, max_parts: int) -> int:
 
 # -- campaign: coin construction reaches total size n --------------------------
 
-def _success_range_chunk(args: tuple) -> tuple[int, list[dict]]:
-    machine_values, lambda_max, rho_num, rho_den = args
-    checked = 0
-    failures: list[dict] = []
-    for m in machine_values:
-        totals = _coin_totals(m, lambda_max * m, rho_num, rho_den)
-        checked += lambda_max * m
-        failures += [{"n": n, "m": m, "reason": f"total size {size} < {n}"}
-                     for n, size in enumerate(totals) if size < n]
-    return checked, failures
-
-
 def verify_bricks_success_range(
     m_max: int,
     lambda_max: int,
     rho: Fraction = BRICK_ROBUSTNESS,
-    workers: int | None = None,
 ) -> VerificationReport:
     """Check the coin construction reaches total size n on the whole grid.
 
@@ -155,19 +142,13 @@ def verify_bricks_success_range(
         raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")
     start = time.perf_counter()
     rho = exact_rational(rho)
-    machine_values = list(range(1, m_max + 1))
-    if workers is not None and workers > 1:
-        chunks = [machine_values[i::workers] for i in range(min(workers, m_max))]
-        args = [(chunk, lambda_max, rho.numerator, rho.denominator) for chunk in chunks]
-        with ProcessPoolExecutor(max_workers=len(args)) as pool:
-            results = list(pool.map(_success_range_chunk, args))
-        checked = sum(c for c, _ in results)
-        failures = [f for _, fs in results for f in fs]
-    else:
-        checked, failures = _success_range_chunk(
-            (machine_values, lambda_max, rho.numerator, rho.denominator)
-        )
-    failures.sort(key=lambda f: (f["m"], f["n"]))
+    checked = 0
+    failures: list[dict] = []
+    for m in range(1, m_max + 1):
+        totals = _coin_totals(m, lambda_max * m, rho.numerator, rho.denominator)
+        checked += lambda_max * m
+        failures += [{"n": n, "m": m, "reason": f"total size {size} < {n}"}
+                     for n, size in enumerate(totals) if size < n]
     elapsed = int((time.perf_counter() - start) * 1000)
     grid = {
         "campaign": "bricks-success-range",
@@ -361,7 +342,7 @@ class Campaign(NamedTuple):
     witness: dict | None = None
 
     def run(self, quick: bool = False, **settings) -> VerificationReport:
-        """Sweep one grid; ``settings`` such as ``seed`` or ``workers`` replace the grid's own."""
+        """Sweep one grid; ``settings`` the grid has, such as ``seed``, replace its own values."""
         grid = self.quick if quick else self.full
         return self.sweep(**{**grid, **{k: v for k, v in settings.items() if k in grid}})
 
@@ -380,8 +361,8 @@ _SHAVED = {"m_max": 9, "lambda_max": 5, "rho": Fraction(159, 100)}
 CAMPAIGNS: dict[str, Campaign] = {
     # the coin construction reaches n at 8/5 for m <= 144 and 60 jobs per machine
     "success-range": Campaign(verify_bricks_success_range,
-                              full={"m_max": 144, "lambda_max": 60, "workers": None},
-                              quick={"m_max": 20, "lambda_max": 10, "workers": None},
+                              full={"m_max": 144, "lambda_max": 60},
+                              quick={"m_max": 20, "lambda_max": 10},
                               checked=(626_400, 2_100)),
     # at 159/100 the construction falls short at 45 jobs on 9 machines
     "shaved-witness": Campaign(verify_bricks_success_range, full=_SHAVED, quick=_SHAVED,

@@ -1,10 +1,17 @@
 """``speedrobust run``: one line per campaign of ``verify.CAMPAIGNS`` and the verdict."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
+import speedrobust
+from speedrobust import cli
 from speedrobust.cli import main
 from speedrobust.verify import CAMPAIGNS, VerificationReport
 
@@ -25,10 +32,13 @@ def test_quick_grids_meet_their_expectations(capsys):
     assert all(" : ok " in line for line in lines[:-1])
 
 
+# Module-level, so the planted entries pickle on their way to the pool's workers.
+def _planted_sweep(checked, **grid):
+    return VerificationReport(grid, checked, [{"reason": "planted"}], 0)
+
+
 def _planted_failure(campaign):
-    def sweep(**grid):
-        return VerificationReport(grid, campaign.checked[1], [{"reason": "planted"}], 0)
-    return campaign._replace(sweep=sweep)
+    return campaign._replace(sweep=partial(_planted_sweep, campaign.checked[1]))
 
 
 def _no_witness(campaign):
@@ -75,17 +85,88 @@ def test_named_campaigns_run_in_table_order(capsys):
 @pytest.mark.parametrize("argv,reason", [
     (("no-such-campaign",), "error: unknown campaign no-such-campaign"),
     (("lower-bound", "x", "--quick"), "error: unknown campaign x"),
-    (("--workers", "0"), "error: workers must be >= 1"),
+    (("--workers", "2"), "usage: speedrobust"),  # the pool sizes itself; there is no knob
 ])
 def test_bad_arguments_exit_two_before_any_campaign(capsys, argv, reason):
     code, lines, err = run(capsys, *argv)
     assert code == 2 and lines == [] and err.startswith(reason)
 
 
-def test_workers_do_not_change_the_counts(capsys):
-    def counts(workers):
-        code, lines, _ = run(capsys, "success-range", "--quick", "--workers", workers)
-        assert code == 0
-        return [line.rsplit(" elapsed=", 1)[0] for line in lines]
+def test_pooled_run_prints_the_in_process_lines(capsys):
+    expected = []
+    for name, campaign in CAMPAIGNS.items():
+        report = campaign.run(quick=True)
+        met = campaign.meets(report, quick=True)
+        expected.append(f"{name:<17} : {'ok' if met else 'MISSED'} "
+                        f"(expects {'a witness' if campaign.witness else 'clean'}) "
+                        f"checked={report.checked} failures={len(report.failures)}")
+    code, lines, _ = run(capsys, "--quick")
+    assert code == 0
+    assert [line.rsplit(" elapsed=", 1)[0] for line in lines] == expected + ["ALL CLEAN"]
 
-    assert counts("2") == counts("1")
+
+@pytest.mark.parametrize("cpus,names,size", [
+    (1000, (), 5),  # never more workers than campaigns
+    (1000, ("lower-bound", "shaved-witness"), 2),
+    (1, (), 1),  # one CPU: the same path, with a pool of one
+])
+def test_the_pool_has_one_worker_per_usable_cpu_and_campaign(monkeypatch, capsys, cpus, names, size):
+    pools = []
+
+    class InlinePool:  # records the pool size and maps in this process
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    code, lines, _ = run(capsys, *names, "--quick")
+    assert code == 0 and lines[-1] == "ALL CLEAN" and len(lines) == len(names or CAMPAIGNS) + 1
+    assert pools == [size]
+
+
+def test_usable_cpus_fall_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert cli._usable_cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+    assert cli._usable_cpus() == 1
+
+
+def test_importing_the_library_loads_no_pool():
+    code = "import sys, speedrobust; print(sorted(m for m in sys.modules if m.split('.')[0] in " \
+           "('multiprocessing', 'concurrent')))"
+    src = str(Path(speedrobust.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises, and its descriptor is a real file."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_a_closed_stdout_exits_one_without_an_error_line(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
+        code = main(["run", "shaved-witness", "sand-tightness", "--quick"])
+        # the descriptor now writes to devnull, so the exit flush cannot raise again
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert code == 1 and capsys.readouterr().err == ""

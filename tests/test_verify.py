@@ -153,33 +153,6 @@ def test_multi_cell_campaigns_tag_each_failure_with_its_cell(monkeypatch):
     assert probes == [[m, b] for m in range(2, 5) for b in range(1, 2 * m + 1)]
 
 
-def test_success_range_workers_agree_with_serial():
-    serial = verify_bricks_success_range(12, 4)
-    parallel = verify_bricks_success_range(12, 4, workers=2)
-    assert serial.payload(include_elapsed=False) == parallel.payload(include_elapsed=False)
-
-
-def test_success_range_starts_one_process_per_machine_chunk(monkeypatch):
-    pools = []
-
-    class InlinePool:  # records the pool size and maps in this process
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, args):
-            return map(fn, args)
-
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
-    report = verify_bricks_success_range(3, 4, workers=1000)
-    assert pools == [3] and report.ok and report.checked == 24
-
-
 def test_robustness_campaign_known_grids():
     for n, m in [(13, 10), (7, 7), (9, 4)]:
         report = verify_bricks_robustness(n, m)
