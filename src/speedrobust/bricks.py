@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
-from .numerics import _to_common_ints, ceil_div, exact_rational, floor_scale, format_rational
+from .numerics import _to_common_ints, ceil_div, exact_ints, exact_rational, floor_scale, format_rational
 from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -171,9 +171,12 @@ def trim_to_total(solution: BrickSolution, total: int) -> BrickSolution:
 
 def bricks_by_cost(jobs: int, machines: int, bags: int) -> FractionalSolution:
     """Integral bag counts per cost: the cost multiset of :func:`bricks_bags`, batched."""
+    exact_ints(jobs=jobs, machines=machines, bags=bags)
     if min(jobs, machines, bags) < 1:
         raise ValueError("jobs, machines and bags must all be >= 1")
-    return FractionalSolution(dict(_coin_levels(jobs, machines, bags, ceil_div)), bags)
+    # Int costs >= 1 with int counts >= 1 summing to at most bags: nothing left to check.
+    levels = _coin_levels(jobs, machines, bags, ceil_div)
+    return FractionalSolution._trusted({z: Fraction(x) for z, x in levels}, Fraction(bags))
 
 
 def bricks_fractional(jobs: Fraction, machines: Fraction, bags: Fraction) -> FractionalSolution:
@@ -297,6 +300,7 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     with fewer bags the exact oracle over n <= 12 finds worst cases of 2 at
     (machines 3, bags 2) and 3 at (machines 4, bags 2).
     """
+    exact_ints(jobs=jobs, machines=machines, bags=bags)
     if min(jobs, machines, bags) < 1:
         raise ValueError("jobs, machines and bags must all be >= 1")
     if Fraction(jobs, machines) <= PEBBLES_CUTOVER:

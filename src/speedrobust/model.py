@@ -169,6 +169,18 @@ class FractionalSolution:
         self.counts = clean
         self.bag_budget = budget
 
+    @classmethod
+    def _trusted(cls, counts: dict[int, Fraction], bag_budget: Fraction) -> FractionalSolution:
+        """A solution of ``counts`` and ``bag_budget`` as given, unchecked.
+
+        The caller guarantees what ``__init__`` would establish: int costs >= 1
+        mapped to positive Fraction counts, summing to at most the Fraction budget.
+        """
+        solution = object.__new__(cls)
+        solution.counts = counts
+        solution.bag_budget = bag_budget
+        return solution
+
     @property
     def total_bags(self) -> Fraction:
         return sum(self.counts.values(), Fraction(0))

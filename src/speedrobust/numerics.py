@@ -84,6 +84,16 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
+def exact_ints(**values: int) -> None:
+    """Refuse, with ``ValueError`` naming it, any keyword value that is not an ``int``.
+
+    Booleans are refused rather than read as 1 and 0, and floats even when integral.
+    """
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def format_rational(value: Fraction | int) -> str:
     """Serialize as ``"p/q"``, or just ``"p"`` for integral values."""
     value = Fraction(value)

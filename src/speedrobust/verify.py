@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
 from .model import BagProfile, SpeedProfile
-from .numerics import _to_common_ints, exact_rational, format_rational
+from .numerics import _to_common_ints, exact_ints, exact_rational, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
 from .second_stage import greedy_assignment
@@ -95,6 +95,65 @@ def _partitions(total: int, parts_left: int, cap: int) -> Iterator[tuple[int, ..
                 parts.append(r)
 
 
+def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[list[int]]]:
+    """What ``_largest_first(costs, list(parts), 0)`` says on every partition of ``total``.
+
+    Returns the count of partitions into at most ``machines`` parts and,
+    zero-padded in ``_partitions`` order, those the kernel fails on.  Zero
+    costs are dropped: they go to the resting machine and never fail.  The
+    partitions are walked as a prefix tree, largest part first; at a node
+    every part not yet chosen is at most ``bound``.  While the largest chosen
+    cap is >= ``bound``, the kernel's first largest machine is that chosen
+    one, of lower index, on every completion, so its step is taken once for
+    the subtree.  Below, the walk branches on each next part above that cap;
+    the completions with every part at most the cap come last in walk order
+    and stay together, with the cap as their ``bound``.  A subtree whose bags
+    are all placed is counted, and one where a bag fails is listed.
+    """
+    costs = [c for c in costs if c]
+    counts: dict[tuple[int, int, int], int] = {}
+    checked = 0
+    failing: list[list[int]] = []
+
+    def count(rest: int, slots: int, cap: int) -> int:  # partitions of rest, <= slots parts <= cap
+        cap = min(cap, rest)
+        if slots * cap < rest:
+            return 0
+        if rest == 0 or slots == 1:
+            return 1
+        key = (rest, slots, cap)
+        if key not in counts:
+            low = -(-rest // slots)
+            counts[key] = sum(count(rest - p, slots - 1, p) for p in range(low, cap + 1))
+        return counts[key]
+
+    def walk(parts: list[int], caps: list[int], k: int, rest: int, bound: int) -> None:
+        nonlocal checked
+        slots = machines - len(parts)
+        while k < len(costs):
+            top = max(caps) if caps else 0
+            if top < bound:
+                low = -(-rest // slots)  # the least next part that leaves room for the rest
+                for p in range(bound, max(top, low - 1), -1):
+                    walk(parts + [p], caps + [p], k, rest - p, min(p, rest - p))
+                if top < low:
+                    return
+                bound = top
+            elif top < costs[k]:
+                before = len(failing)
+                failing.extend(parts + list(tail) + [0] * (slots - len(tail))
+                               for tail in _partitions(rest, slots, bound))
+                checked += len(failing) - before
+                return
+            else:
+                caps[caps.index(top)] = top - costs[k]
+                k += 1
+        checked += count(rest, slots, bound)
+
+    walk([], [], 0, total, total)
+    return checked, failing
+
+
 def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[SpeedProfile]:
     """All non-increasing integer speed vectors of the given length and total.
 
@@ -104,6 +163,7 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
     partitions already meet every rule of :class:`SpeedProfile`, so profiles
     are built unchecked.
     """
+    exact_ints(total=total, machines=machines)
     if total < 1 or machines < 1:
         raise ValueError("total and machines must both be >= 1")
     speed = [Fraction(i) for i in range(total + 1)]
@@ -114,6 +174,7 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
 
 def partition_count(total: int, max_parts: int) -> int:
     """Partitions of ``total`` into at most ``max_parts`` parts: p(n, k) = p(n, k-1) + p(n-k, k)."""
+    exact_ints(total=total, max_parts=max_parts)
     row = [1] + [0] * total
     for k in range(1, min(max_parts, total) + 1):
         for n in range(k, total + 1):
@@ -138,6 +199,7 @@ def verify_bricks_success_range(
     ``lambda_max`` below 1) raises ``ValueError`` rather than certifying
     nothing.
     """
+    exact_ints(m_max=m_max, lambda_max=lambda_max)
     if m_max < 1 or lambda_max < 1:
         raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")
     start = time.perf_counter()
@@ -166,30 +228,24 @@ def verify_bricks_robustness(jobs: int, machines: int) -> VerificationReport:
 
     Builds the bag profile once and requires the assignment to succeed at
     factor 8/5 on every integral speed profile summing to the job count.
-    Grids with at most ``EXHAUSTIVE_PROFILES`` profiles walk them all: each
-    runs the assigners' integer kernel directly, on coin costs computed once,
-    and builds no assignment.  Larger grids get the exact reachability test
+    Grids with at most ``EXHAUSTIVE_PROFILES`` profiles walk them all with
+    ``_coin_walk``: the assigners' integer kernel, on coin costs computed
+    once, decides each profile, with the steps that profiles sharing a prefix
+    take alike run once, and no assignment is built.  Larger grids get the exact reachability test
     of ``_coin_counterexample`` instead, which covers every profile at once:
     ``checked`` counts them all, and a failure is the one it constructs.
     """
     start = time.perf_counter()
-    profile = robust_bags(jobs, machines, machines)
+    profile = robust_bags(jobs, machines, machines)  # refuses non-int jobs and machines
     costs = _coin_costs([int(a) for a in profile.sizes], BRICK_ROBUSTNESS)
     profiles = partition_count(jobs, machines)
     exhaustive = profiles <= EXHAUSTIVE_PROFILES
-    checked = 0
-    failing: list[list[int]] = []
     if exhaustive:
-        for parts in _partitions(jobs, machines, jobs):
-            checked += 1
-            # The zero speeds left out of the caps can never pay a positive cost.
-            if _largest_first(costs, list(parts), 0) is None:
-                failing.append(list(parts) + [0] * (machines - len(parts)))
+        checked, failing = _coin_walk(costs, jobs, machines)
     else:
         checked = profiles
         speeds = _coin_counterexample(costs, jobs, machines)
-        if speeds is not None:
-            failing.append(speeds)
+        failing = [] if speeds is None else [speeds]
     failures = [{"n": jobs, "m": machines, "speeds": speeds,
                  "reason": "coin assignment failed at 8/5"} for speeds in failing]
 

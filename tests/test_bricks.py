@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import (
+    _coin_levels,
     BRICK_ROBUSTNESS,
     bricks_bags,
     bricks_by_cost,
@@ -21,7 +22,7 @@ from speedrobust.bricks import (
     trim_to_total,
 )
 from speedrobust.model import FractionalSolution, Infeasible, SpeedProfile
-from speedrobust.numerics import floor_scale
+from speedrobust.numerics import ceil_div, floor_scale
 from speedrobust.sand import sand_robustness
 from speedrobust.second_stage import optimal_second_stage
 
@@ -120,6 +121,18 @@ def test_cost_batched_matches_one_by_one_everywhere():
             one_by_one = Counter(z for z in _per_bag_costs(n, m, m) if z > 0)
             batched = {z: int(x) for z, x in bricks_by_cost(n, m, m).counts.items()}
             assert batched == dict(one_by_one), (n, m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(1, 5000), m=st.integers(1, 60), b=st.integers(1, 80))
+def test_cost_batched_is_the_checked_solution(n, m, b):
+    # built unchecked, it must equal what the validating constructor makes of the same levels
+    got = bricks_by_cost(n, m, b)
+    expected = FractionalSolution(dict(_coin_levels(n, m, b, ceil_div)), b)
+    assert got == expected
+    assert list(got.counts.items()) == list(expected.counts.items())
+    assert all(type(z) is int and type(x) is Fraction for z, x in got.counts.items())
+    assert type(got.bag_budget) is Fraction
 
 
 def test_fractional_known_values():

@@ -4,7 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 import speedrobust as sr
-from speedrobust.numerics import ceil_div, exact_rational, floor_scale, format_rational, parse_rational
+from speedrobust.numerics import (
+    ceil_div, exact_ints, exact_rational, floor_scale, format_rational, parse_rational,
+)
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999)
 positive_rationals = st.fractions(
@@ -120,3 +122,28 @@ def test_exact_code_refuses_floats(call):
 def test_exact_code_refuses_booleans(call):
     with pytest.raises(ValueError, match="true/false are rejected"):
         call()
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda: sr.verify_bricks_robustness(True, 1), "jobs"),  # not a grid with "n": true
+    (lambda: sr.verify_bricks_robustness(4.0, 2), "jobs"),  # not a TypeError from range()
+    (lambda: sr.partition_count(5, True), "max_parts"),  # not the count 1
+    (lambda: sr.verify_bricks_success_range(True, 2), "m_max"),  # not "m_max": true
+    (lambda: sr.verify_bricks_success_range(2, 2.0), "lambda_max"),
+    (lambda: sr.robust_bags(6, 2, True), "bags"),
+    (lambda: sr.robust_bags(Fraction(6), 2, 2), "jobs"),
+    (lambda: sr.bricks_by_cost(6, True, 2), "machines"),
+    (lambda: list(sr.enumerate_integral_speed_profiles(3.0, 2)), "total"),
+    (lambda: list(sr.enumerate_integral_speed_profiles(3, False)), "machines"),
+], ids=["robustness_bool", "robustness_float", "partition_count", "success_range_bool",
+        "success_range_float", "robust_bags_bool", "robust_bags_fraction", "bricks_by_cost",
+        "enumerate_float", "enumerate_bool"])
+def test_integer_arguments_refuse_booleans_and_non_ints(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_exact_ints_accepts_ints_of_any_sign_and_names_the_first_refusal():
+    exact_ints(a=0, b=-3, c=10**30)
+    with pytest.raises(ValueError, match="^b must be an integer, got '2'$"):
+        exact_ints(a=1, b="2", c=1.5)

@@ -11,9 +11,11 @@ from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
 from speedrobust import verify
 from speedrobust.bricks import robust_bags
-from speedrobust.second_stage import greedy_assignment, integral_assignment, optimal_second_stage
+from speedrobust.second_stage import _largest_first, greedy_assignment, integral_assignment
+from speedrobust.second_stage import optimal_second_stage
 from speedrobust.verify import (
     EXHAUSTIVE_PROFILES,
+    _coin_walk,
     _partitions,
     enumerate_integral_speed_profiles,
     partition_count,
@@ -213,6 +215,46 @@ def test_robustness_campaign_matches_public_assigner_loop():
                                      "reason": "coin assignment failed at 8/5"})
             report = verify_bricks_robustness(n, m)
             assert (report.checked, report.failures) == (checked, failures), (n, m)
+
+
+def _kernel_on_every_partition(costs, total, machines):
+    """Reference for ``_coin_walk``: the kernel run once per partition, as the sweep used to."""
+    checked, failing = 0, []
+    for parts in _partitions(total, machines, total):
+        checked += 1
+        # The zero speeds left out of the caps can never pay a positive cost.
+        if _largest_first(costs, list(parts), 0) is None:
+            failing.append(list(parts) + [0] * (machines - len(parts)))
+    return checked, failing
+
+
+@settings(max_examples=500, deadline=None)
+@given(costs=st.lists(st.integers(0, 8), max_size=8), total=st.integers(1, 24),
+       machines=st.integers(1, 6))
+def test_coin_walk_matches_the_kernel_on_every_partition(costs, total, machines):
+    # any cost order, zeros anywhere: the walk must not lean on the dispatcher's sorted costs
+    assert _coin_walk(costs, total, machines) == _kernel_on_every_partition(costs, total, machines)
+
+
+@pytest.mark.parametrize("rho", [BRICK_ROBUSTNESS, Fraction(3, 2)])
+def test_robustness_payloads_match_the_per_profile_kernel(monkeypatch, rho):
+    # At 3/2 many of these cells fail: the failure records and their order must match too.
+    monkeypatch.setattr(verify, "BRICK_ROBUSTNESS", rho)
+    cells = [(n, m) for m in range(1, 9) for n in range(1, 41)]
+    walked = [verify_bricks_robustness(*cell).payload(include_elapsed=False) for cell in cells]
+    monkeypatch.setattr(verify, "_coin_walk", _kernel_on_every_partition)
+    failures = 0
+    for cell, payload in zip(cells, walked):
+        assert payload == verify_bricks_robustness(*cell).payload(include_elapsed=False), cell
+        failures += len(payload["failures"])
+    assert failures == (0 if rho == BRICK_ROBUSTNESS else 1685)
+
+
+@pytest.mark.parametrize("n,m", [(5000, 2), (3000, 3)])
+def test_coin_walk_counts_long_grids_without_deep_recursion(n, m):
+    report = verify_bricks_robustness(n, m)
+    assert report.grid["mode"] == "exhaustive"
+    assert report.ok and report.checked == partition_count(n, m)
 
 
 def test_robustness_campaign_samples_grids_over_the_budget(monkeypatch):
