@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
-from .numerics import _to_common_ints, ceil_div, exact_ints, exact_rational, floor_scale, format_rational
+from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints, format_rational
 from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -135,14 +135,11 @@ def bricks_bags(jobs: int, machines: int, bags: int, rho: Fraction) -> BrickSolu
     floor(z * rho).  Once the coins run out, the remaining bags are emitted
     with cost 0 and size 0 so the profile keeps its full length.
     """
-    if min(jobs, machines, bags) < 1:
-        raise ValueError("jobs, machines and bags must all be >= 1")
-    rho = exact_rational(rho)
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
-    costs = [z for z, x in _coin_levels(jobs, machines, bags, ceil_div) for _ in range(x)]
+    exact_ints(1, jobs=jobs, machines=machines, bags=bags)
+    rho = exact_factor(rho, least=1)
+    costs = [z for z, x in _coin_levels(jobs, machines, bags, _ceil_div) for _ in range(x)]
     costs += [0] * (bags - len(costs))
-    sizes = tuple(floor_scale(z, rho) if z else 0 for z in costs)
+    sizes = tuple(z * rho.numerator // rho.denominator for z in costs)
     total = sum(sizes)
     return BrickSolution(sizes, tuple(costs), total, total >= jobs, jobs, rho)
 
@@ -154,6 +151,7 @@ def trim_to_total(solution: BrickSolution, total: int) -> BrickSolution:
     shrunk by the remainder; no size ever increases, so the second-stage
     guarantees are preserved.  Costs are re-derived from the new sizes.
     """
+    exact_ints(0, total=total)
     if solution.total_size < total:
         raise Infeasible(f"cannot trim total {solution.total_size} up to {total}")
     sizes = list(solution.bag_sizes)
@@ -171,11 +169,9 @@ def trim_to_total(solution: BrickSolution, total: int) -> BrickSolution:
 
 def bricks_by_cost(jobs: int, machines: int, bags: int) -> FractionalSolution:
     """Integral bag counts per cost: the cost multiset of :func:`bricks_bags`, batched."""
-    exact_ints(jobs=jobs, machines=machines, bags=bags)
-    if min(jobs, machines, bags) < 1:
-        raise ValueError("jobs, machines and bags must all be >= 1")
+    exact_ints(1, jobs=jobs, machines=machines, bags=bags)
     # Int costs >= 1 with int counts >= 1 summing to at most bags: nothing left to check.
-    levels = _coin_levels(jobs, machines, bags, ceil_div)
+    levels = _coin_levels(jobs, machines, bags, _ceil_div)
     return FractionalSolution._trusted({z: Fraction(x) for z, x in levels}, Fraction(bags))
 
 
@@ -187,9 +183,9 @@ def bricks_fractional(jobs: Fraction, machines: Fraction, bags: Fraction) -> Fra
     machines / cost times and the whole solution scales linearly when jobs,
     machines and bags are scaled together.
     """
-    jobs, machines, bags = map(exact_rational, (jobs, machines, bags))
-    if jobs <= 0 or machines <= 0 or bags <= 0:
-        raise ValueError("jobs, machines and bags must all be positive")
+    jobs = exact_factor(jobs, "jobs")
+    machines = exact_factor(machines, "machines")
+    bags = exact_factor(bags, "bags")
     return FractionalSolution(dict(_coin_levels(jobs, machines, bags, truediv)), bags)
 
 
@@ -199,9 +195,7 @@ def solution_size(solution: FractionalSolution, rho: Fraction) -> Fraction:
     Summed in integers over the counts' common denominator, so each level
     costs one integer product rather than a ``Fraction`` product and sum.
     """
-    rho = exact_rational(rho)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = exact_factor(rho)
     num, den = rho.numerator, rho.denominator
     counts, d = _to_common_ints(solution.counts.values())
     return Fraction(sum(x * (z * num // den) for z, x in zip(solution.counts, counts)), d)
@@ -215,14 +209,14 @@ def transformation_factor(cost: int, rho: Fraction) -> Fraction:
     this factor times the amount rounded.  Negative values are the ones that
     can shrink a solution.
     """
-    if cost < 2:
-        raise ValueError(f"cost must be >= 2, got {cost}")
-    rho = exact_rational(rho)
-    return (
-        floor_scale(cost, rho)
-        - Fraction(cost, cost - 1) * floor_scale(cost - 1, rho)
-        + Fraction(1, cost - 1) * floor_scale(1, rho)
-    )
+    exact_ints(2, cost=cost)
+    rho = exact_factor(rho)
+    return _transformation_factor(cost, rho.numerator, rho.denominator)
+
+
+def _transformation_factor(z: int, num: int, den: int) -> Fraction:
+    """floor(z*rho) - (z * floor((z-1)*rho) - floor(rho)) / (z-1) for rho = num / den."""
+    return z * num // den - Fraction(z * ((z - 1) * num // den) - num // den, z - 1)
 
 
 def negative_factor_sum(max_cost: int, rho: Fraction) -> Fraction:
@@ -231,14 +225,10 @@ def negative_factor_sum(max_cost: int, rho: Fraction) -> Fraction:
     Bounds from below the total size lost when rounding a fractional solution
     integral, since each cost is rounded at most once by less than one bag.
     """
-    if max_cost < 2:
-        raise ValueError(f"max_cost must be >= 2, got {max_cost}")
-    total = Fraction(0)
-    for z in range(2, max_cost + 1):
-        f = transformation_factor(z, rho)
-        if f < 0:
-            total += f
-    return total
+    exact_ints(2, max_cost=max_cost)
+    num, den = exact_factor(rho).as_integer_ratio()
+    factors = (_transformation_factor(z, num, den) for z in range(2, max_cost + 1))
+    return sum((f for f in factors if f < 0), Fraction(0))
 
 
 def normalized_surplus(lam: Fraction) -> Fraction:
@@ -247,9 +237,7 @@ def normalized_surplus(lam: Fraction) -> Fraction:
     Because the fractional construction scales, this depends only on the
     jobs-per-machine ratio; it is evaluated at one machine and one bag.
     """
-    lam = exact_rational(lam)
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
+    lam = exact_factor(lam, "lam")
     solution = bricks_fractional(lam, Fraction(1), Fraction(1))
     return solution_size(solution, BRICK_ROBUSTNESS) - lam
 
@@ -263,9 +251,7 @@ def surplus_breakpoints(lambda_max: Fraction) -> list[SurplusPoint]:
     extrapolation of that count, which between integers falls at rate one
     over the next integer.
     """
-    lambda_max = exact_rational(lambda_max)
-    if lambda_max < 1:
-        raise ValueError(f"lambda_max must be >= 1, got {lambda_max}")
+    lambda_max = exact_factor(lambda_max, "lambda_max", least=1)
     lam = Fraction(1)
     points = [SurplusPoint(lam, normalized_surplus(lam))]
     while lam < lambda_max:
@@ -300,9 +286,7 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     with fewer bags the exact oracle over n <= 12 finds worst cases of 2 at
     (machines 3, bags 2) and 3 at (machines 4, bags 2).
     """
-    exact_ints(jobs=jobs, machines=machines, bags=bags)
-    if min(jobs, machines, bags) < 1:
-        raise ValueError("jobs, machines and bags must all be >= 1")
+    exact_ints(1, jobs=jobs, machines=machines, bags=bags)
     if Fraction(jobs, machines) <= PEBBLES_CUTOVER:
         solution = bricks_bags(jobs, machines, bags, BRICK_ROBUSTNESS)
         if solution.successful:

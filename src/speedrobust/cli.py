@@ -18,8 +18,9 @@ import csv
 import json
 import multiprocessing
 import os
+import select
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, wait
 from fractions import Fraction
 from functools import partial
 
@@ -34,7 +35,7 @@ from .bricks import (
     surplus_integer_table,
 )
 from .model import BagProfile, Instance, SpeedProfile, makespan
-from .numerics import exact_rational, format_rational, parse_rational
+from .numerics import exact_factor, exact_rational, format_rational, parse_rational
 from .pebbles import pebbles_bags
 from .sand import (
     adversary_configs,
@@ -47,20 +48,15 @@ from .second_stage import greedy_assignment, integral_assignment, optimal_second
 from .verify import CAMPAIGN_SEED, CAMPAIGNS, Campaign
 
 
-def _rational(text: str) -> Fraction:
+def _rational(text: str, convert=parse_rational) -> Fraction:
     """Argument type of a single rational; argparse prints the reason a literal is refused."""
     try:
-        return parse_rational(text)
+        return convert(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _positive_rational(text: str) -> Fraction:
-    """Argument type of every ``--rho``: an exact rational above zero."""
-    value = _rational(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"rho must be positive, got {text}")
-    return value
+_positive_rational = partial(_rational, convert=exact_factor)  # every --rho: above zero
 
 
 def _parse_values(text: str) -> list[Fraction]:
@@ -139,35 +135,21 @@ def _cmd_bags(args) -> int:
 
 
 def _cmd_assign(args) -> int:
-    bag_values = args.bags
-    speed_values = args.speeds
     trace: list[dict] | None = [] if args.trace else None
-
+    bags = BagProfile(args.bags)
+    speeds = SpeedProfile(args.speeds)  # machine indices are positions in the sorted speeds
     if args.algo == "greedy":
-        bags = BagProfile(bag_values)
-        speeds = SpeedProfile(speed_values)
         assignment = greedy_assignment(bags, speeds, args.rho, trace)
-        value = makespan(assignment, bags, speeds) if assignment else None
-    elif args.algo == "integral":
-        if any(v.denominator != 1 for v in bag_values + speed_values):
-            raise ValueError("--algo integral needs integer bag sizes and speeds")
-        sizes = sorted((int(v) for v in bag_values), reverse=True)
-        speeds_int = [int(v) for v in speed_values]
-        assignment = integral_assignment(sizes, speeds_int, args.rho, trace)
-        if assignment:
-            value = makespan(assignment, BagProfile(sizes), SpeedProfile(speed_values))
-        else:
-            value = None
-    else:  # optimal
-        bags = BagProfile(bag_values)
-        speeds = SpeedProfile(speed_values)
-        value, assignment = optimal_second_stage(bags, speeds)
+    elif args.algo == "integral":  # the library refuses sizes and speeds that are not whole numbers
+        assignment = integral_assignment(bags.sizes, speeds.speeds, args.rho, trace)
+    else:  # the optimum is its witness's makespan
+        assignment = optimal_second_stage(bags, speeds)[1]
+    value = makespan(assignment, bags, speeds) if assignment else None
 
     ok = assignment is not None
-    sorted_bags = sorted((Fraction(v) for v in bag_values), reverse=True)
     rows = []
     owners = assignment.machine_of_bag if assignment else ()
-    for k, size in enumerate(sorted_bags):
+    for k, size in enumerate(bags.sizes):
         row = {
             "bag": k,
             "size": _json_value(size),
@@ -223,6 +205,16 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def _reader_left(stream) -> bool:
+    """Whether ``stream`` writes to a pipe whose reader has gone: poll() flags its write end."""
+    try:
+        poller = select.poll()
+        poller.register(stream, 0)  # error conditions are reported whatever the mask
+    except (AttributeError, OSError, ValueError):  # no poll(), or no descriptor
+        return False
+    return bool(poller.poll(0))
+
+
 def _cmd_run(args) -> int:
     unknown = [name for name in args.names if name not in CAMPAIGNS]
     if unknown:
@@ -236,7 +228,12 @@ def _cmd_run(args) -> int:
                                mp_context=multiprocessing.get_context("spawn"))
     try:
         sweep = partial(Campaign.run, quick=args.quick, seed=args.seed)
-        for (name, campaign), report in zip(selected.items(), pool.map(sweep, selected.values())):
+        futures = [pool.submit(sweep, campaign) for campaign in selected.values()]
+        for (name, campaign), future in zip(selected.items(), futures):
+            while not wait([future], timeout=0.1).done:  # a reader that left stops the run now
+                if _reader_left(sys.stdout):
+                    raise BrokenPipeError
+            report = future.result()
             met = campaign.meets(report, args.quick)
             clean &= met
             expected = "a witness" if campaign.witness else "clean"
@@ -246,7 +243,11 @@ def _cmd_run(args) -> int:
             if not met:
                 for record in report.failures:
                     print(json.dumps(record, sort_keys=True, default=str), flush=True)
-    finally:  # a reader that left early (| head) waits for no queued campaign
+    except BaseException:  # as when the reader left early (| head): stop the running campaigns
+        for worker in list(pool._processes.values()):  # terminate_workers() is new in 3.14
+            worker.terminate()
+        raise
+    finally:  # and cancel the queued ones
         pool.shutdown(cancel_futures=True)
     print("ALL CLEAN" if clean else "FAILURES FOUND", flush=True)
     return 0 if clean else 1

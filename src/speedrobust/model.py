@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numerics import _to_common_ints, exact_rational
+from .numerics import _to_common_ints, exact_ints, exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -49,10 +49,7 @@ class Instance:
     bag_count: int
 
     def __init__(self, job_sizes: Iterable[Fraction | int | str], machine_count: int, bag_count: int):
-        if machine_count < 1:
-            raise ValueError(f"machine_count must be >= 1, got {machine_count}")
-        if bag_count < 1:
-            raise ValueError(f"bag_count must be >= 1, got {bag_count}")
+        exact_ints(1, machine_count=machine_count, bag_count=bag_count)
         sizes = _sorted_fractions(job_sizes)
         # non-negative and non-increasing: the total is positive iff the first size is
         if not sizes or sizes[0] == 0:
@@ -155,13 +152,12 @@ class FractionalSolution:
         budget = exact_rational(bag_budget)
         clean: dict[int, Fraction] = {}
         for z, x in counts.items():
-            if z < 1:
-                raise ValueError(f"bag cost must be >= 1, got {z}")
+            exact_ints(1, cost=z)
             fx = exact_rational(x)
             if fx.numerator < 0:  # the sign on the integer, not a Fraction comparison
                 raise ValueError(f"negative bag count for cost {z}: {fx}")
             if fx.numerator:
-                clean[int(z)] = fx
+                clean[z] = fx
         # The budget test in integers: the counts and the budget over their common denominator.
         *used, cap = _to_common_ints([*clean.values(), budget])[0]
         if sum(used) > cap:

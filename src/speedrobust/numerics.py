@@ -4,13 +4,16 @@ All quantities are rationals over arbitrary-precision integers; nothing in
 this package ever touches a float on a computation path.  The canonical
 rational type is :class:`fractions.Fraction` (always stored reduced, positive
 denominator).
+
+The argument rule of every public function is here too: counts pass
+:func:`exact_ints` and factors :func:`exact_factor`, or ``ValueError`` names them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Collection
+from typing import Collection, Iterable
 
 
 def floor_scale(units: int, rho: Fraction) -> int:
@@ -19,11 +22,8 @@ def floor_scale(units: int, rho: Fraction) -> int:
     This is the bag size bought with ``units`` coins at robustness
     factor ``rho``.
     """
-    if units < 1:
-        raise ValueError(f"units must be >= 1, got {units}")
-    rho = exact_rational(rho)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    exact_ints(1, units=units)
+    rho = exact_factor(rho)
     return (units * rho.numerator) // rho.denominator
 
 
@@ -33,10 +33,13 @@ def ceil_div(amount: int, parts: int) -> int:
     With ``amount`` coins spread over ``parts`` machines, some machine
     holds at least this many coins (pigeonhole).
     """
-    if amount < 0:
-        raise ValueError(f"amount must be >= 0, got {amount}")
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
+    exact_ints(0, amount=amount)
+    exact_ints(1, parts=parts)
+    return _ceil_div(amount, parts)
+
+
+def _ceil_div(amount: int, parts: int) -> int:
+    """:func:`ceil_div` on checked arguments, for loops that checked them once."""
     return -(-amount // parts)
 
 
@@ -84,14 +87,42 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
     return Fraction(value)
 
 
-def exact_ints(**values: int) -> None:
-    """Refuse, with ``ValueError`` naming it, any keyword value that is not an ``int``.
+def exact_ints(least: int | None = None, /, **values: int) -> None:
+    """The count check: refuse any keyword value that is not an ``int``, or is below ``least``.
 
     Booleans are refused rather than read as 1 and 0, and floats even when integral.
     """
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and min(values.values()) < least:
+        quantifier = ("", "both ", "all ")[min(len(values), 3) - 1]
+        raise ValueError(f"{_listed(values)} must {quantifier}be >= {least}, "
+                         f"got {_listed(map(str, values.values()))}")
+
+
+def exact_factor(value: Fraction | int | str, name: str = "rho",
+                 least: Fraction | int | None = None) -> Fraction:
+    """The factor check: ``value`` through :func:`exact_rational`, above zero or at least ``least``."""
+    value = exact_rational(value)
+    if value <= 0 if least is None else value < least:
+        raise ValueError(f"{name} must be {'positive' if least is None else f'>= {least}'}, got {value}")
+    return value
+
+
+def whole_numbers(values: Iterable[int | Fraction | str], name: str) -> list[int]:
+    """``values`` as ints >= 0, each an int or read by :func:`exact_rational` with denominator 1."""
+    numbers = [value if type(value) is int else exact_rational(value) for value in values]
+    for value in numbers:
+        if value < 0 or value.denominator != 1:
+            raise ValueError(f"{name} must be whole numbers, got {value}")
+    return [int(value) for value in numbers]
+
+
+def _listed(items: Iterable[str]) -> str:
+    """``a``, ``a and b``, or ``a, b and c``."""
+    *init, last = items
+    return f"{', '.join(init)} and {last}" if init else last
 
 
 def format_rational(value: Fraction | int) -> str:

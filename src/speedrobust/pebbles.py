@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import Instance
-from .numerics import _to_common_ints, exact_rational
+from .numerics import _to_common_ints, exact_factor
 from .sand import sand_bags
 
 
@@ -61,9 +61,7 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     times T is m * (S + X_j) + P > rho * T; the left side is an integer, so
     this is m * (S + X_j) + P > floor(rho * T).  Bag sizes are S / d.
     """
-    rho = exact_rational(rho)
-    if rho < 1:
-        raise ValueError(f"rho must be >= 1, got {rho}")
+    rho = exact_factor(rho, least=1)
     m, b = instance.machine_count, instance.bag_count
     scaled, d = _to_common_ints(instance.job_sizes)
     cap = rho.numerator * sum(scaled) // rho.denominator

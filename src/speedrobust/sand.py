@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
-from .numerics import _to_common_ints, exact_rational
+from .numerics import _to_common_ints, exact_factor, exact_ints
 from .second_stage import _check_oracle_size, _search_min_makespan
 
 
@@ -53,8 +53,7 @@ def _check_printable_scale(machines: int, bags: int) -> None:
 
 
 def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
-    if machines < 1 or bags < 1:
-        raise ValueError("machines and bags must both be >= 1")
+    exact_ints(1, machines=machines, bags=bags)
     _check_printable_scale(machines, bags)
     # weights[j + 1] = weights[j] * (machines - 1) / machines, exact while
     # machines divides the weight, which holds for every weight kept
@@ -91,9 +90,7 @@ def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
     non-negative by construction, so the profile skips the checks and
     re-sort of ``BagProfile``.
     """
-    total = exact_rational(total)
-    if total <= 0:
-        raise ValueError(f"total must be positive, got {total}")
+    total = exact_factor(total, "total")
     sk = geometric_skeleton(machines, bags)
     ratio = Fraction(machines - 1, machines)
     sizes = [total * Fraction(sk.weights[0], sk.weight_total)]
@@ -129,6 +126,7 @@ def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None
     is scaled to integers once; each configuration is searched on its
     integer speeds directly.
     """
+    exact_ints(1, machines=machines, bags=bags)
     _check_oracle_size(bags, machines)
     sk = geometric_skeleton(machines, bags)
     if profile is None:

@@ -14,7 +14,7 @@ from math import lcm
 from typing import Sequence
 
 from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile
-from .numerics import _to_common_ints, exact_rational
+from .numerics import _to_common_ints, exact_factor, whole_numbers
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
@@ -114,9 +114,7 @@ def greedy_assignment(
     ``rho`` is too small for this profile pair.  On success every capacity
     stays non-negative, so the makespan is at most ``rho``.
     """
-    rho = exact_rational(rho)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
+    rho = exact_factor(rho)
     sizes, size_unit = _to_common_ints(bags.sizes)
     ints, speed_unit = _to_common_ints(speeds.speeds)
     costs, caps = _capacity_costs(sizes, size_unit, ints, speed_unit, rho)
@@ -138,17 +136,13 @@ def integral_assignment(
     ceil(a / rho) coins and goes to the machine holding the most.  Coins stay
     integral throughout.  Returns None if the richest machine cannot pay,
     which never happens when the bags came from a successful coin-accounting
-    build against speeds of that total.
+    build against speeds of that total.  Sizes and speeds must be whole numbers.
     """
-    rho = exact_rational(rho)
-    if rho <= 0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    sizes = [int(a) for a in bag_sizes]
-    if any(sizes[i] < sizes[i + 1] for i in range(len(sizes) - 1)) or sizes and sizes[-1] < 0:
-        raise ValueError("bag sizes must be non-increasing and non-negative")
-    coins = [int(s) for s in speeds]
-    if any(c < 0 for c in coins):
-        raise ValueError("speeds must be non-negative integers")
+    rho = exact_factor(rho)
+    sizes = whole_numbers(bag_sizes, "bag sizes")
+    if any(a < b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("bag sizes must be non-increasing")
+    coins = whole_numbers(speeds, "speeds")
     steps: list | None = [] if trace is not None else None
     owners = _largest_first(_coin_costs(sizes, rho), coins, _first_positive(coins), steps)
     return _view(owners, steps, sizes, trace)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
 from .model import BagProfile, SpeedProfile
-from .numerics import _to_common_ints, exact_ints, exact_rational, format_rational
+from .numerics import _to_common_ints, exact_factor, exact_ints, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
 from .second_stage import greedy_assignment
@@ -161,15 +161,13 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
     zero-padded; each is emitted exactly once, largest first part first.
     Speeds are shared ``Fraction`` objects from one table per call, and the
     partitions already meet every rule of :class:`SpeedProfile`, so profiles
-    are built unchecked.
+    are built unchecked.  The arguments are checked at the call, not at the first ``next``.
     """
-    exact_ints(total=total, machines=machines)
-    if total < 1 or machines < 1:
-        raise ValueError("total and machines must both be >= 1")
+    exact_ints(1, total=total, machines=machines)
     speed = [Fraction(i) for i in range(total + 1)]
     zeros = (speed[0],) * machines
-    for parts in _partitions(total, machines, total):
-        yield _speed_profile(tuple(map(speed.__getitem__, parts)) + zeros[len(parts):])
+    return (_speed_profile(tuple(map(speed.__getitem__, parts)) + zeros[len(parts):])
+            for parts in _partitions(total, machines, total))
 
 
 def partition_count(total: int, max_parts: int) -> int:
@@ -197,13 +195,11 @@ def verify_bricks_success_range(
     total size for every job count at once.  Any instance whose bag sizes
     total below n is a failure record.  An empty grid (``m_max`` or
     ``lambda_max`` below 1) raises ``ValueError`` rather than certifying
-    nothing.
+    nothing, and so does a ``rho`` below 1, as in ``bricks_bags``.
     """
-    exact_ints(m_max=m_max, lambda_max=lambda_max)
-    if m_max < 1 or lambda_max < 1:
-        raise ValueError(f"m_max and lambda_max must both be >= 1, got {m_max} and {lambda_max}")
+    exact_ints(1, m_max=m_max, lambda_max=lambda_max)
+    rho = exact_factor(rho, least=1)
     start = time.perf_counter()
-    rho = exact_rational(rho)
     checked = 0
     failures: list[dict] = []
     for m in range(1, m_max + 1):
@@ -273,8 +269,8 @@ def verify_sand_upper(
     Runs against the full adversary configuration family plus ``trials``
     seeded pseudo-random rational speed profiles of the same total.
     """
-    if trials < 0:
-        raise ValueError(f"trials must be >= 0, got {trials}")
+    exact_ints(0, trials=trials)
+    exact_ints(seed=seed)
     start = time.perf_counter()
     rho = sand_robustness(machines, bags)
     scale = machines**bags

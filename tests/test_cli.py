@@ -99,6 +99,23 @@ def test_assign_failure_exits_one(capsys):
     assert all(r["ok"] is False for r in rows_from_json(out))
 
 
+def test_assign_integral_refuses_bags_that_are_not_whole(capsys):
+    code, out, err = run_cli(capsys, "assign", "--algo", "integral", "--bags", "5/2,1",
+                             "--speeds", "3,1")
+    assert code == 2 and out == "" and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_assign_integral_indexes_the_sorted_speeds(capsys):
+    # machine 0 is the fastest, as for greedy and optimal: both bags go to speed 3, makespan 4/3
+    # (with the speeds indexed as given, the makespan read machine 1 as speed 1 and gave 3)
+    code, out, _ = run_cli(capsys, "assign", "--algo", "integral", "--bags", "1,3",
+                           "--speeds", "1,3")
+    assert code == 0
+    rows = rows_from_json(out)
+    assert [(r["size"], r["machine"]) for r in rows] == [(3, 0), (1, 0)]
+    assert all(r["makespan"] == "4/3" for r in rows)
+
+
 def test_assign_optimal(capsys):
     code, out, _ = run_cli(capsys, "assign", "--algo", "optimal", "--bags", "2,2",
                            "--speeds", "3,1")

@@ -1,0 +1,193 @@
+"""The argument contract of every public callable: bad counts and factors raise ``ValueError``.
+
+``CONTRACT`` has one entry per callable in ``speedrobust.__all__``: keyword
+arguments that make a valid call, the count arguments with the least value
+each accepts (None for any ``int``), and the factor arguments with theirs
+(None for any positive rational).  Each count and each factor is replaced in
+turn by values of the wrong type or out of range, and the call must raise
+``ValueError`` or a subclass of it.  A replacement in range must give a
+result or one of those errors, never another exception.  Huge sizes are out
+of scope: without ``SizeLimit`` guards some calls would not end.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import types
+from fractions import Fraction
+from typing import Callable, NamedTuple
+
+import pytest
+
+import speedrobust as sr
+
+RHO = Fraction(8, 5)
+
+
+class Entry(NamedTuple):
+    call: Callable
+    args: dict
+    counts: dict = {}
+    factors: dict = {}
+
+
+CONTRACT: dict[str, Entry] = {
+    # value types, records and errors: no count or factor argument is checked
+    "Assignment": Entry(sr.Assignment, {"machine_of_bag": [0, 1]}),
+    "BagProfile": Entry(sr.BagProfile, {"sizes": [2, 1]}),
+    "SpeedProfile": Entry(sr.SpeedProfile, {"speeds": [2, 1]}),
+    "FractionalSolution": Entry(sr.FractionalSolution, {"counts": {2: 1, 1: 1}, "bag_budget": 2}),
+    "BrickSolution": Entry(sr.BrickSolution, {"bag_sizes": (3, 2), "bag_costs": (2, 2), "total_size": 5,
+                                              "successful": True, "jobs": 5, "rho": RHO}),
+    "SurplusPoint": Entry(sr.SurplusPoint, {"lam": Fraction(1), "surplus": Fraction(0)}),
+    "PebblesResult": Entry(sr.PebblesResult, {"bag_of_job": {0: 0}, "bag_sizes": (Fraction(1),),
+                                              "packed_all": True}),
+    "GeometricSkeleton": Entry(sr.GeometricSkeleton, {"machines": 2, "bags": 2, "weights": (2, 1),
+                                                      "scale": 4, "weight_total": 3}),
+    "VerificationReport": Entry(sr.VerificationReport, {"grid": {}, "checked": 0, "failures": [],
+                                                        "elapsed_ms": 0}),
+    "Infeasible": Entry(sr.Infeasible, {}),
+    "InvalidAssignment": Entry(sr.InvalidAssignment, {}),
+    "ScaleMismatch": Entry(sr.ScaleMismatch, {}),
+    "SizeLimit": Entry(sr.SizeLimit, {}),
+    "format_rational": Entry(sr.format_rational, {"value": Fraction(3, 2)}),
+    "parse_rational": Entry(sr.parse_rational, {"text": "3/2"}),
+    "makespan": Entry(sr.makespan, {"assignment": sr.Assignment([0, 1]),
+                                    "bags": sr.BagProfile([2, 1]), "speeds": sr.SpeedProfile([2, 1])}),
+    "optimal_second_stage": Entry(sr.optimal_second_stage, {"bags": sr.BagProfile([2, 1]),
+                                                            "speeds": sr.SpeedProfile([2, 1])}),
+    "pebble_ratio": Entry(sr.pebble_ratio, {"instance": sr.Instance([1, 1], 2, 2)}),
+    # numerics
+    "floor_scale": Entry(sr.floor_scale, {"units": 3, "rho": RHO}, {"units": 1}, {"rho": None}),
+    "ceil_div": Entry(sr.ceil_div, {"amount": 7, "parts": 2}, {"amount": 0, "parts": 1}),
+    # model
+    "Instance": Entry(sr.Instance, {"job_sizes": [1, 1], "machine_count": 2, "bag_count": 2},
+                      {"machine_count": 1, "bag_count": 1}),
+    # sand and pebbles
+    "geometric_skeleton": Entry(sr.geometric_skeleton, {"machines": 2, "bags": 3},
+                                {"machines": 1, "bags": 1}),
+    "sand_robustness": Entry(sr.sand_robustness, {"machines": 2, "bags": 3},
+                             {"machines": 1, "bags": 1}),
+    "adversary_configs": Entry(sr.adversary_configs, {"machines": 2, "bags": 3},
+                               {"machines": 1, "bags": 1}),
+    "sand_bags": Entry(sr.sand_bags, {"machines": 2, "bags": 3, "total": 7},
+                       {"machines": 1, "bags": 1}, {"total": None}),
+    "reference_sequence": Entry(sr.reference_sequence, {"machines": 2, "bags": 3},
+                                {"machines": 1, "bags": 1}),
+    "lower_bound_probe": Entry(sr.lower_bound_probe,
+                               {"machines": 2, "bags": 2, "profile": sr.sand_bags(2, 2, 4)},
+                               {"machines": 1, "bags": 1}),
+    "pebbles_bags": Entry(sr.pebbles_bags, {"instance": sr.Instance([1, 1, 1, 1], 2, 2), "rho": 2},
+                          factors={"rho": 1}),
+    # bricks
+    "bricks_bags": Entry(sr.bricks_bags, {"jobs": 5, "machines": 2, "bags": 2, "rho": RHO},
+                         {"jobs": 1, "machines": 1, "bags": 1}, {"rho": 1}),
+    "trim_to_total": Entry(sr.trim_to_total,
+                           {"solution": sr.bricks_bags(5, 2, 2, RHO), "total": 5}, {"total": 0}),
+    "bricks_by_cost": Entry(sr.bricks_by_cost, {"jobs": 5, "machines": 2, "bags": 2},
+                            {"jobs": 1, "machines": 1, "bags": 1}),
+    "bricks_fractional": Entry(sr.bricks_fractional, {"jobs": 5, "machines": 2, "bags": 2},
+                               factors={"jobs": None, "machines": None, "bags": None}),
+    "solution_size": Entry(sr.solution_size, {"solution": sr.bricks_by_cost(5, 2, 2), "rho": RHO},
+                           factors={"rho": None}),
+    "transformation_factor": Entry(sr.transformation_factor, {"cost": 3, "rho": RHO},
+                                   {"cost": 2}, {"rho": None}),
+    "negative_factor_sum": Entry(sr.negative_factor_sum, {"max_cost": 10, "rho": RHO},
+                                 {"max_cost": 2}, {"rho": None}),
+    "normalized_surplus": Entry(sr.normalized_surplus, {"lam": Fraction(11, 3)},
+                                factors={"lam": None}),
+    "surplus_breakpoints": Entry(sr.surplus_breakpoints, {"lambda_max": 3},
+                                 factors={"lambda_max": 1}),
+    "robust_bags": Entry(sr.robust_bags, {"jobs": 5, "machines": 2, "bags": 2},
+                         {"jobs": 1, "machines": 1, "bags": 1}),
+    # second stage
+    "greedy_assignment": Entry(sr.greedy_assignment, {"bags": sr.BagProfile([2, 1]),
+                                                      "speeds": sr.SpeedProfile([2, 1]), "rho": RHO},
+                               factors={"rho": None}),
+    "integral_assignment": Entry(sr.integral_assignment,
+                                 {"bag_sizes": [2, 1], "speeds": [2, 1], "rho": RHO},
+                                 factors={"rho": None}),
+    # verify
+    "enumerate_integral_speed_profiles": Entry(sr.enumerate_integral_speed_profiles,
+                                               {"total": 4, "machines": 2},
+                                               {"total": 1, "machines": 1}),
+    "partition_count": Entry(sr.partition_count, {"total": 5, "max_parts": 2},
+                             {"total": None, "max_parts": None}),
+    "verify_bricks_robustness": Entry(sr.verify_bricks_robustness, {"jobs": 5, "machines": 2},
+                                      {"jobs": 1, "machines": 1}),
+    "verify_bricks_success_range": Entry(sr.verify_bricks_success_range,
+                                         {"m_max": 2, "lambda_max": 2, "rho": RHO},
+                                         {"m_max": 1, "lambda_max": 1}, {"rho": 1}),
+    "verify_sand_upper": Entry(sr.verify_sand_upper, {"machines": 2, "bags": 2, "trials": 3, "seed": 0},
+                               {"machines": 1, "bags": 1, "trials": 0, "seed": None}),
+}
+
+COUNT_SWAPS = [True, 2.0, Fraction(3, 2), "2", 0, -1]
+FACTOR_SWAPS = [1.6, 0.5, True, False, 0, -1, Fraction(1, 2)]
+
+
+def _public_callables() -> set[str]:
+    return {name for name in sr.__all__
+            if callable(getattr(sr, name)) and not isinstance(getattr(sr, name), types.ModuleType)}
+
+
+def test_every_public_callable_has_an_entry():
+    assert set(CONTRACT) == _public_callables()
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_the_valid_arguments_give_a_result(name):
+    entry = CONTRACT[name]
+    entry.call(**entry.args)
+
+
+def _out_of_domain(value, least, factor: bool) -> bool:
+    """Whether ``value`` is refused: counts are ints >= least, factors rationals > 0 or >= least."""
+    if isinstance(value, (bool, float)) or not (factor or isinstance(value, int)):
+        return True
+    if least is None:
+        return factor and value <= 0
+    return value < least
+
+
+def _swaps():
+    for name, entry in sorted(CONTRACT.items()):
+        for kinds, values, factor in ((entry.counts, COUNT_SWAPS, False),
+                                      (entry.factors, FACTOR_SWAPS, True)):
+            for arg, least in kinds.items():
+                for value in values:
+                    yield pytest.param(name, arg, value, _out_of_domain(value, least, factor),
+                                       id=f"{name}-{arg}={value!r}")
+
+
+@pytest.mark.parametrize("name,arg,value,refused", _swaps())
+def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
+    entry = CONTRACT[name]
+    call = lambda: entry.call(**{**entry.args, arg: value})  # noqa: E731
+    if refused:
+        with pytest.raises(ValueError):
+            call()
+    else:  # in range: a result, or a refusal for a stated reason (Infeasible, SizeLimit, ...)
+        with contextlib.suppress(ValueError):
+            call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sr.floor_scale(2.0, RHO),  # returned 3.0
+    lambda: sr.ceil_div(3.0, 2),  # returned 2.0
+    lambda: sr.integral_assignment([2.5, 1], [3, 1], RHO),  # truncated the 2.5 to 2
+    lambda: sr.integral_assignment([2, 1], [3.7, 1], RHO),
+    lambda: sr.bricks_bags(True, 2, 2, RHO),
+    lambda: sr.Instance([1], 2.0, 2),
+    lambda: sr.verify_sand_upper(2, 2, True, seed=1.5),
+    lambda: sr.verify_sand_upper(2.0, 2, 5),  # raised AttributeError
+    lambda: sr.verify_bricks_success_range(2, 2, rho=0),  # reported every cell as failing
+    lambda: sr.trim_to_total(sr.bricks_bags(5, 2, 2, RHO), -1),  # returned total_size=-1
+    lambda: sr.enumerate_integral_speed_profiles(0, 2),  # returned a generator: not iterated here
+    lambda: sr.enumerate_integral_speed_profiles(3.0, 2),
+], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
+        "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
+        "enumerate_float"])
+def test_calls_that_once_answered_wrongly_raise_value_error(call):
+    with pytest.raises(ValueError):
+        call()

@@ -5,7 +5,8 @@ from hypothesis import given, strategies as st
 
 import speedrobust as sr
 from speedrobust.numerics import (
-    ceil_div, exact_ints, exact_rational, floor_scale, format_rational, parse_rational,
+    ceil_div, exact_factor, exact_ints, exact_rational, floor_scale, format_rational, parse_rational,
+    whole_numbers,
 )
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999)
@@ -147,3 +148,35 @@ def test_exact_ints_accepts_ints_of_any_sign_and_names_the_first_refusal():
     exact_ints(a=0, b=-3, c=10**30)
     with pytest.raises(ValueError, match="^b must be an integer, got '2'$"):
         exact_ints(a=1, b="2", c=1.5)
+
+
+def test_exact_ints_refuses_values_below_the_least_and_names_them_all():
+    exact_ints(0, trials=0)
+    with pytest.raises(ValueError, match="^trials must be >= 0, got -1$"):
+        exact_ints(0, trials=-1)
+    with pytest.raises(ValueError, match="^m_max and lambda_max must both be >= 1, got 0 and 60$"):
+        exact_ints(1, m_max=0, lambda_max=60)
+    with pytest.raises(ValueError, match="^jobs, machines and bags must all be >= 1, got 3, 0 and 2$"):
+        exact_ints(1, jobs=3, machines=0, bags=2)
+    with pytest.raises(ValueError, match="^jobs must be an integer, got 0.5$"):  # the type first
+        exact_ints(1, machines=0, jobs=0.5)
+
+
+def test_exact_factor_returns_the_fraction_in_range():
+    assert exact_factor("8/5") == Fraction(8, 5) and type(exact_factor(2)) is Fraction
+    assert exact_factor(1, least=1) == 1
+    for bad, message in [(0, "^rho must be positive, got 0$"), (Fraction(-1, 2), "positive"),
+                         (1.6, "floats are rejected"), (True, "true/false are rejected")]:
+        with pytest.raises(ValueError, match=message):
+            exact_factor(bad)
+    with pytest.raises(ValueError, match="^lambda_max must be >= 1, got 1/2$"):
+        exact_factor(Fraction(1, 2), "lambda_max", least=1)
+
+
+def test_whole_numbers_takes_whole_rationals_and_refuses_the_rest():
+    assert whole_numbers([3, Fraction(2), "1", 0], "sizes") == [3, 2, 1, 0]
+    for bad, message in [(Fraction(5, 2), "sizes must be whole numbers, got 5/2"),
+                         (-1, "sizes must be whole numbers, got -1"),
+                         (2.0, "floats are rejected"), (True, "true/false are rejected")]:
+        with pytest.raises(ValueError, match=message):
+            whole_numbers([4, bad], "sizes")

@@ -1,9 +1,12 @@
 """``speedrobust run``: one line per campaign of ``verify.CAMPAIGNS`` and the verdict."""
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
+from concurrent.futures import Future
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -35,6 +38,10 @@ def test_quick_grids_meet_their_expectations(capsys):
 # Module-level, so the planted entries pickle on their way to the pool's workers.
 def _planted_sweep(checked, **grid):
     return VerificationReport(grid, checked, [{"reason": "planted"}], 0)
+
+
+def _slow_sweep(**grid):
+    time.sleep(60)
 
 
 def _planted_failure(campaign):
@@ -117,8 +124,10 @@ def test_the_pool_has_one_worker_per_usable_cpu_and_campaign(monkeypatch, capsys
         def __init__(self, max_workers, mp_context):
             pools.append(max_workers)
 
-        def map(self, fn, items):
-            return map(fn, items)
+        def submit(self, fn, item):
+            future = Future()
+            future.set_result(fn(item))
+            return future
 
         def shutdown(self, cancel_futures=False):
             pass
@@ -170,3 +179,19 @@ def test_a_closed_stdout_exits_one_without_an_error_line(capsys, monkeypatch, tm
         # the descriptor now writes to devnull, so the exit flush cannot raise again
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert code == 1 and capsys.readouterr().err == ""
+
+
+def test_a_reader_that_leaves_stops_the_running_campaign(capsys, monkeypatch):
+    # The slow campaign prints nothing before it ends, so only the poll of stdout can notice.
+    monkeypatch.setitem(CAMPAIGNS, "lower-bound", CAMPAIGNS["lower-bound"]._replace(sweep=_slow_sweep))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
+    start = time.perf_counter()
+    try:
+        code = main(["run", "lower-bound", "--quick"])
+    finally:
+        os.close(write_end)
+    assert code == 1 and capsys.readouterr().err == ""
+    assert time.perf_counter() - start < 30  # the campaign was stopped, not waited for
+    assert multiprocessing.active_children() == []  # and no worker outlives the command

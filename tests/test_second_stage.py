@@ -266,6 +266,24 @@ def test_integral_rejects_bad_factor_and_negative_sizes():
         integral_assignment([1, -1], [1], BRICK_ROBUSTNESS)
 
 
+@pytest.mark.parametrize("sizes,speeds", [
+    ([2.5, 1], [3, 1]),  # not truncated to 2
+    ([Fraction(5, 2), 1], [3, 1]),
+    ([2, 1], [3.7, 1]),
+    ([2, 1], [3.0, 1]),  # a float even when integral
+    ([True, 1], [3, 1]),
+    ([2, 1], [3, -1]),
+])
+def test_integral_refuses_sizes_and_speeds_that_are_not_whole(sizes, speeds):
+    with pytest.raises(ValueError):
+        integral_assignment(sizes, speeds, BRICK_ROBUSTNESS)
+
+
+def test_integral_takes_whole_rationals_as_integers():
+    assert integral_assignment([Fraction(3), 1], [Fraction(3), 1], BRICK_ROBUSTNESS) == \
+        integral_assignment([3, 1], [3, 1], BRICK_ROBUSTNESS)
+
+
 # -- exact oracle ----------------------------------------------------------------
 
 def test_oracle_known_values():
