@@ -16,7 +16,8 @@ from fractions import Fraction
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
-from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints, format_rational
+from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints, exact_rational
+from .numerics import format_rational
 from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -252,20 +253,18 @@ def surplus_breakpoints(lambda_max: Fraction) -> list[SurplusPoint]:
     over the next integer.
     """
     lambda_max = exact_factor(lambda_max, "lambda_max", least=1)
-    lam = Fraction(1)
-    points = [SurplusPoint(lam, normalized_surplus(lam))]
-    while lam < lambda_max:
-        next_integer = lam.numerator // lam.denominator + 1
+    lam, dropped = Fraction(1), None
+    points = []
+    while lam <= lambda_max:  # one solution per vertex gives its surplus and the next vertex
         solution = bricks_fractional(lam, Fraction(1), Fraction(1))
+        points.append(SurplusPoint(lam, solution_size(solution, BRICK_ROBUSTNESS) - lam, dropped))
+        next_integer = lam.numerator // lam.denominator + 1
         lowest = solution.min_cost()
         drop_at = lam + solution.counts[lowest] * next_integer
         if drop_at < next_integer:
             lam, dropped = drop_at, lowest
         else:
             lam, dropped = Fraction(next_integer), None
-        if lam > lambda_max:
-            break
-        points.append(SurplusPoint(lam, normalized_surplus(lam), dropped))
     return points
 
 
@@ -303,8 +302,8 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
 # -- table emission ------------------------------------------------------------
 
 def decimal_string(value: Fraction, places: int) -> str:
-    """Round-half-up decimal rendering of an exact rational, without floats."""
-    value = Fraction(value)
+    """Round-half-up decimal rendering of an exact rational; floats and booleans are refused."""
+    value = exact_rational(value)
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places
     units = (scaled.numerator + scaled.denominator // 2) // scaled.denominator

@@ -45,7 +45,7 @@ from .sand import (
     sand_robustness,
 )
 from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
-from .verify import CAMPAIGN_SEED, CAMPAIGNS, Campaign
+from .verify import CAMPAIGNS, Campaign
 
 
 def _rational(text: str, convert=parse_rational) -> Fraction:
@@ -227,7 +227,7 @@ def _cmd_run(args) -> int:
     pool = ProcessPoolExecutor(min(_usable_cpus(), len(selected)),
                                mp_context=multiprocessing.get_context("spawn"))
     try:
-        sweep = partial(Campaign.run, quick=args.quick, seed=args.seed)
+        sweep = partial(Campaign.run, quick=args.quick)
         futures = [pool.submit(sweep, campaign) for campaign in selected.values()]
         for (name, campaign), future in zip(selected.items(), futures):
             while not wait([future], timeout=0.1).done:  # a reader that left stops the run now
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("names", nargs="*", metavar="NAME",
                    help=f"campaigns to run, in table order (default all): {', '.join(CAMPAIGNS)}")
     p.add_argument("--quick", action="store_true", help="each campaign on its smaller grid")
-    p.add_argument("--seed", type=int, default=CAMPAIGN_SEED)
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("surplus", help="normalized surplus at one jobs-per-machine ratio")

@@ -129,7 +129,9 @@ class Assignment:
     machine_of_bag: tuple[int, ...]
 
     def __init__(self, machine_of_bag: Iterable[int]):
-        owners = tuple(int(i) for i in machine_of_bag)
+        owners = tuple(machine_of_bag)
+        if any(isinstance(i, bool) or not isinstance(i, int) for i in owners):
+            raise InvalidAssignment(f"machine indices must be integers, got {owners}")
         if any(i < 0 for i in owners):
             raise InvalidAssignment("machine indices must be non-negative")
         object.__setattr__(self, "machine_of_bag", owners)

@@ -126,8 +126,8 @@ def _listed(items: Iterable[str]) -> str:
 
 
 def format_rational(value: Fraction | int) -> str:
-    """Serialize as ``"p/q"``, or just ``"p"`` for integral values."""
-    value = Fraction(value)
+    """Serialize as ``"p/q"``, or just ``"p"`` for integral values; floats and booleans are refused."""
+    value = exact_rational(value)
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"

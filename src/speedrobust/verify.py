@@ -22,7 +22,6 @@ from .model import BagProfile, SpeedProfile
 from .numerics import _to_common_ints, exact_factor, exact_ints, format_rational
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
-from .second_stage import greedy_assignment
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
 EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids get the reachability test alone
@@ -267,45 +266,36 @@ def verify_sand_upper(
     """Check greedy assignment of the sand bags at the tight factor never fails.
 
     Runs against the full adversary configuration family plus ``trials``
-    seeded pseudo-random rational speed profiles of the same total.
+    seeded pseudo-random rational speed profiles of the same total.  Both
+    kinds are cases of one list, each decided by the assigners' integer
+    kernel on bag sizes scaled once.  Every case's speeds are non-increasing
+    with a positive first entry, so machine 0 is the resting machine.
     """
     exact_ints(0, trials=trials)
     exact_ints(seed=seed)
     start = time.perf_counter()
     rho = sand_robustness(machines, bags)
     scale = machines**bags
-    profile = sand_bags(machines, bags, scale)
-    checked = 0
-    failures: list[dict] = []
-
-    for k, config in enumerate(adversary_configs(machines, bags)):
-        checked += 1
-        if greedy_assignment(profile, config, rho) is None:
-            failures.append({
-                "kind": "adversary",
-                "config": k,
-                "speeds": [format_rational(s) for s in config.speeds],
-                "reason": "greedy assignment failed at the tight factor",
-            })
-
-    # Trial speeds are r * scale / sum(raw): integers r * scale in units of sum(raw).
-    sizes, size_unit = _to_common_ints(profile.sizes)
+    sizes, size_unit = _to_common_ints(sand_bags(machines, bags, scale).sizes)
+    # A case is its record fields, integer speeds and their unit.  The family
+    # is read from ``adversary_configs``, not ``sand._adversary_speeds``: its
+    # ``SpeedProfile`` builds are the traced bench's only
+    # ``model.speed_profile_us`` spans.
+    cases = [({"kind": "adversary", "config": k}, *_to_common_ints(config.speeds))
+             for k, config in enumerate(adversary_configs(machines, bags))]
     rng = random.Random(seed)
     for t in range(trials):
         raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
         while not any(raw):
             raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
         raw.sort(reverse=True)
-        total = sum(raw)
-        checked += 1
-        costs, caps = _capacity_costs(sizes, size_unit, [r * scale for r in raw], total, rho)
-        if _largest_first(costs, caps, 0) is None:
-            failures.append({
-                "kind": "random",
-                "trial": t,
-                "speeds": [format_rational(Fraction(r * scale, total)) for r in raw],
-                "reason": "greedy assignment failed at the tight factor",
-            })
+        # Speeds r * scale / sum(raw): integers r * scale in units of sum(raw).
+        cases.append(({"kind": "random", "trial": t}, [r * scale for r in raw], sum(raw)))
+    failures = [{**fields, "speeds": [format_rational(Fraction(s, unit)) for s in speeds],
+                 "reason": "greedy assignment failed at the tight factor"}
+                for fields, speeds, unit in cases
+                if _largest_first(*_capacity_costs(sizes, size_unit, speeds, unit, rho), 0) is None]
+    checked = len(cases)
 
     elapsed = int((time.perf_counter() - start) * 1000)
     grid = {
@@ -393,10 +383,9 @@ class Campaign(NamedTuple):
     checked: tuple[int, int]
     witness: dict | None = None
 
-    def run(self, quick: bool = False, **settings) -> VerificationReport:
-        """Sweep one grid; ``settings`` the grid has, such as ``seed``, replace its own values."""
-        grid = self.quick if quick else self.full
-        return self.sweep(**{**grid, **{k: v for k, v in settings.items() if k in grid}})
+    def run(self, quick: bool = False) -> VerificationReport:
+        """Sweep the quick grid if ``quick``, else the full one."""
+        return self.sweep(**(self.quick if quick else self.full))
 
     def meets(self, report: VerificationReport, quick: bool = False) -> bool:
         """Whether ``report`` has this campaign's expected count and outcome."""

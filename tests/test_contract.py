@@ -20,6 +20,7 @@ from typing import Callable, NamedTuple
 import pytest
 
 import speedrobust as sr
+from speedrobust.bricks import decimal_string
 
 RHO = Fraction(8, 5)
 
@@ -185,9 +186,13 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.trim_to_total(sr.bricks_bags(5, 2, 2, RHO), -1),  # returned total_size=-1
     lambda: sr.enumerate_integral_speed_profiles(0, 2),  # returned a generator: not iterated here
     lambda: sr.enumerate_integral_speed_profiles(3.0, 2),
+    lambda: sr.format_rational(0.1),  # returned 3602879701896397/36028797018963968
+    lambda: sr.format_rational(True),  # returned 1
+    lambda: decimal_string(0.1, 3),  # returned 0.100
+    lambda: sr.Assignment([1.5, True]),  # stored machines (1, 1)
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
-        "enumerate_float"])
+        "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

@@ -93,6 +93,7 @@ def test_named_campaigns_run_in_table_order(capsys):
     (("no-such-campaign",), "error: unknown campaign no-such-campaign"),
     (("lower-bound", "x", "--quick"), "error: unknown campaign x"),
     (("--workers", "2"), "usage: speedrobust"),  # the pool sizes itself; there is no knob
+    (("--seed", "5"), "usage: speedrobust"),  # the library's verify_sand_upper(seed=...) reseeds the trials
 ])
 def test_bad_arguments_exit_two_before_any_campaign(capsys, argv, reason):
     code, lines, err = run(capsys, *argv)

@@ -341,14 +341,20 @@ def test_sand_campaign_clean_and_deterministic():
 
 @pytest.mark.parametrize("machines,bags", [(3, 5), (4, 2), (2, 3)])
 def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch, machines, bags):
-    # Shaved below the tight factor some random trials fail; the integer trial
-    # path must fail on the same trials and record the same speeds.
+    # Shaved below the tight factor every adversary configuration and some random
+    # trials fail; the one kernel path must fail on the same cases, in the same
+    # order, and record the same speeds as the public assigner.
     shaved = sand_robustness(machines, bags) * Fraction(9, 10)
     monkeypatch.setattr(verify, "sand_robustness", lambda m, b: shaved)
     scale = machines**bags
     profile = sand_bags(machines, bags, scale)
+    reason = "greedy assignment failed at the tight factor"
+    expected = [{"kind": "adversary", "config": k,
+                 "speeds": [format_rational(s) for s in config.speeds], "reason": reason}
+                for k, config in enumerate(adversary_configs(machines, bags))
+                if greedy_assignment(profile, config, shaved) is None]
+    assert len(expected) == bags
     rng = random.Random(5)
-    expected = []
     for t in range(200):
         raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
         while not any(raw):
@@ -357,10 +363,11 @@ def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch,
         if greedy_assignment(profile, speeds, shaved) is None:
             expected.append({"kind": "random", "trial": t,
                              "speeds": [format_rational(s) for s in speeds.speeds],
-                             "reason": "greedy assignment failed at the tight factor"})
+                             "reason": reason})
     report = verify_sand_upper(machines, bags, trials=200, seed=5)
-    assert [f for f in report.failures if f["kind"] == "random"] == expected
-    assert 0 < len(expected) < 200, len(expected)
+    assert report.failures == expected
+    assert report.checked == bags + 200
+    assert 0 < len(expected) - bags < 200, len(expected)
 
 
 def test_sand_campaign_flags_insufficient_factor():
