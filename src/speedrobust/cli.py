@@ -73,8 +73,7 @@ def _parse_values(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _json_value(value: Fraction):
-    value = Fraction(value)
+def _json_value(value: Fraction | int):
     return value.numerator if value.denominator == 1 else format_rational(value)
 
 
@@ -166,7 +165,7 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    optima = adversary_optima(args.m, args.b, BagProfile(args.bags) if args.bags else None)
+    optima = adversary_optima(args.m, args.b, BagProfile(args.bags) if args.bags is not None else None)
     skeleton = geometric_skeleton(args.m, args.b)
     bound = sand_robustness(args.m, args.b)
     value = max(optima)

@@ -83,9 +83,6 @@ class BagProfile:
         object.__setattr__(profile, "sizes", sizes)
         return profile
 
-    def __len__(self) -> int:
-        return len(self.sizes)
-
     @property
     def total(self) -> Fraction:
         return sum(self.sizes, Fraction(0))
@@ -113,9 +110,6 @@ class SpeedProfile:
         profile = object.__new__(cls)
         object.__setattr__(profile, "speeds", speeds)
         return profile
-
-    def __len__(self) -> int:
-        return len(self.speeds)
 
     @property
     def total(self) -> Fraction:

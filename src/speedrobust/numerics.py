@@ -60,7 +60,7 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if not text:
         raise ValueError("empty rational literal")
-    if any(ch in text for ch in ".eE") and not text.lstrip("+-").isdigit():
+    if any(ch in text for ch in ".eE"):
         raise ValueError(f"not an exact rational (floats are rejected): {text!r}")
     num, sep, den = text.partition("/")
     try:

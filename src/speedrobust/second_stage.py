@@ -119,7 +119,7 @@ def greedy_assignment(
     ints, speed_unit = _to_common_ints(speeds.speeds)
     costs, caps = _capacity_costs(sizes, size_unit, ints, speed_unit, rho)
     steps: list | None = [] if trace is not None else None
-    owners = _largest_first(costs, caps, _first_positive(ints), steps)
+    owners = _largest_first(costs, caps, 0, steps)  # sorted speeds, not all zero: machine 0 is live
     unit = size_unit * speed_unit * rho.denominator
     return _view(owners, steps, bags.sizes, trace, lambda v: Fraction(v, unit))
 
@@ -234,16 +234,12 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     that rather than degrading to an approximation.
     """
     _check_oracle_size(len(bags.sizes), len(speeds.speeds))
-    resting = _first_positive(speeds.speeds)
-    positive = [(i, s) for i, s in enumerate(speeds.speeds) if s > 0]
+    # Sorted profiles: the positive sizes and speeds are prefixes, so owners need no remap; 0 is live.
     active = [a for a in bags.sizes if a > 0]
-    owners = [resting] * len(bags.sizes)
+    resting = [0] * (len(bags.sizes) - len(active))
     if not active:
-        return Fraction(0), Assignment(owners)
+        return Fraction(0), Assignment(resting)
 
-    scaled, _ = _to_common_ints(list(active) + [s for _, s in positive])
-    int_sizes, int_speeds = scaled[: len(active)], scaled[len(active):]
-    value, owner_local = _search_min_makespan(int_sizes, int_speeds)
-    for k, j in enumerate(owner_local):
-        owners[k] = positive[j][0]
-    return value, Assignment(owners)
+    scaled, _ = _to_common_ints(active + [s for s in speeds.speeds if s > 0])
+    value, owners = _search_min_makespan(scaled[: len(active)], scaled[len(active):])
+    return value, Assignment(owners + resting)

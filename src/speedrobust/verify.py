@@ -115,9 +115,8 @@ def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[l
     failing: list[list[int]] = []
 
     def count(rest: int, slots: int, cap: int) -> int:  # partitions of rest, <= slots parts <= cap
+        # slots * cap >= rest always: the walk's bounds and the recursion's parts are >= ceil(rest / slots)
         cap = min(cap, rest)
-        if slots * cap < rest:
-            return 0
         if rest == 0 or slots == 1:
             return 1
         key = (rest, slots, cap)

@@ -240,6 +240,24 @@ def test_probe_beyond_oracle_caps_exits_two(capsys, argv):
     assert code == 2 and "oracle accepts at most 16 bags and 8 machines" in err and out == ""
 
 
+@pytest.mark.parametrize("bags", ["", " , "])
+def test_probe_takes_an_empty_bag_list_as_a_profile(capsys, bags):
+    # an empty --bags is a profile of no bags, not an absent one that falls back to sand
+    code, out, err = run_cli(capsys, "probe", "--m", "2", "--b", "2", "--bags", bags)
+    assert code == 2 and "error: profile has 0 bags, expected 2" in err and out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--mode", "sand"), "--mode sand requires --total"),
+    (("--mode", "pebbles"), "--mode pebbles requires --jobs"),
+    (("--mode", "pebbles", "--jobs", "1,1"), "--mode pebbles requires --rho"),
+    (("--mode", "auto"), "--mode auto requires --n"),
+])
+def test_bags_modes_name_their_missing_option(capsys, argv, message):
+    code, out, err = run_cli(capsys, "bags", *argv, "--m", "2", "--b", "2")
+    assert code == 2 and f"error: {message}" in err and "Traceback" not in err and out == ""
+
+
 def test_sand_bags_with_unprintable_scale_exit_two(capsys):
     code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "3000", "--b", "3000",
                              "--total", "1")

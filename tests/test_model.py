@@ -63,6 +63,11 @@ def test_makespan_rejects_malformed_assignments():
         makespan(Assignment([0, 5]), bags, speeds)
 
 
+def test_assignment_refuses_negative_machines():
+    with pytest.raises(InvalidAssignment, match="machine indices must be non-negative"):
+        Assignment([-1])
+
+
 @given(sizes_strategy, st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=4))
 def test_makespan_at_least_average_load(bag_sizes, raw_speeds):
     if all(s == 0 for s in raw_speeds):

@@ -40,12 +40,20 @@ def _planted_sweep(checked, **grid):
     return VerificationReport(grid, checked, [{"reason": "planted"}], 0)
 
 
+def _clean_sweep(checked, **grid):
+    return VerificationReport(grid, checked, [], 0)
+
+
 def _slow_sweep(**grid):
     time.sleep(60)
 
 
 def _planted_failure(campaign):
     return campaign._replace(sweep=partial(_planted_sweep, campaign.checked[1]))
+
+
+def _one_short(campaign):
+    return campaign._replace(sweep=partial(_clean_sweep, campaign.checked[1] - 1))
 
 
 def _no_witness(campaign):
@@ -55,6 +63,7 @@ def _no_witness(campaign):
 @pytest.mark.parametrize("name,miss", [
     ("bricks-robustness", _planted_failure),  # a clean campaign that reports a failure
     ("shaved-witness", _no_witness),  # the witness campaign, clean at 8/5
+    ("bricks-robustness", _one_short),  # clean, but one profile short: a walk that skipped one
 ])
 def test_a_missed_expectation_fails_the_run(monkeypatch, capsys, name, miss):
     monkeypatch.setitem(CAMPAIGNS, name, miss(CAMPAIGNS[name]))

@@ -9,14 +9,16 @@ from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_bags, trim_to_total
 from speedrobust.model import (
     Assignment,
     BagProfile,
+    Infeasible,
     InvalidAssignment,
     SizeLimit,
     SpeedProfile,
     makespan,
 )
-from speedrobust.numerics import ceil_div
+from speedrobust.numerics import _to_common_ints, ceil_div
 from speedrobust.second_stage import (
     _coin_counterexample,
+    _first_positive,
     _largest_first,
     _search_min_makespan,
     greedy_assignment,
@@ -279,6 +281,11 @@ def test_integral_refuses_sizes_and_speeds_that_are_not_whole(sizes, speeds):
         integral_assignment(sizes, speeds, BRICK_ROBUSTNESS)
 
 
+def test_integral_refuses_speeds_that_are_all_zero():
+    with pytest.raises(Infeasible):
+        integral_assignment([1], [0, 0], BRICK_ROBUSTNESS)
+
+
 def test_integral_takes_whole_rationals_as_integers():
     assert integral_assignment([Fraction(3), 1], [Fraction(3), 1], BRICK_ROBUSTNESS) == \
         integral_assignment([3, 1], [3, 1], BRICK_ROBUSTNESS)
@@ -307,6 +314,36 @@ def test_oracle_handles_zero_speed_and_zero_bags():
     assert makespan(witness, BagProfile([3, 0]), SpeedProfile([1, 0])) == 3
     value, _ = optimal_second_stage(BagProfile([0, 0]), SpeedProfile([1, 1]))
     assert value == 0
+
+
+def reference_oracle(bags, speeds):
+    """The oracle's front door as first written: positive machines found and owners remapped."""
+    resting = _first_positive(speeds.speeds)
+    positive = [(i, s) for i, s in enumerate(speeds.speeds) if s > 0]
+    active = [a for a in bags.sizes if a > 0]
+    owners = [resting] * len(bags.sizes)
+    if not active:
+        return Fraction(0), Assignment(owners)
+
+    scaled, _ = _to_common_ints(list(active) + [s for _, s in positive])
+    int_sizes, int_speeds = scaled[: len(active)], scaled[len(active):]
+    value, owner_local = _search_min_makespan(int_sizes, int_speeds)
+    for k, j in enumerate(owner_local):
+        owners[k] = positive[j][0]
+    return value, Assignment(owners)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(small_fractions, max_size=8),
+    st.lists(small_fractions, min_size=1, max_size=4).filter(any),
+)
+@example([3, 0, 0], [1, 1, 0])  # zero bags, and a speed-0 last machine
+@example([2, 2, 1], [3, 2, 0])
+def test_oracle_matches_its_remapping_front_door(sizes, speed_values):
+    # zero sizes and speeds throughout: the sorted profiles' prefixes must stand in for the remap
+    bags, speeds = BagProfile(sizes), SpeedProfile(speed_values)
+    assert repr(optimal_second_stage(bags, speeds)) == repr(reference_oracle(bags, speeds))
 
 
 def test_oracle_enforces_desk_scale():
