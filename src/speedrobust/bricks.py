@@ -16,8 +16,7 @@ from fractions import Fraction
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
-from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints, exact_rational
-from .numerics import format_rational
+from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
 from .pebbles import _unit_pebbles
 from .sand import sand_robustness
 from .second_stage import _coin_costs
@@ -298,48 +297,3 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
         )
     return BagProfile(sizes)
 
-
-# -- table emission ------------------------------------------------------------
-
-def decimal_string(value: Fraction, places: int) -> str:
-    """Round-half-up decimal rendering of an exact rational; floats and booleans are refused."""
-    value = exact_rational(value)
-    sign = "-" if value < 0 else ""
-    scaled = abs(value) * 10**places
-    units = (scaled.numerator + scaled.denominator // 2) // scaled.denominator
-    digits = str(units).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"
-
-
-def factor_table(max_cost: int, rho: Fraction) -> list[dict]:
-    """Transformation factor rows (cost, exact fraction, 5-place decimal)."""
-    rows = []
-    for z in range(2, max_cost + 1):
-        f = transformation_factor(z, rho)
-        rows.append({"z": z, "exact": format_rational(f), "decimal": decimal_string(f, 5)})
-    return rows
-
-
-def surplus_integer_table(lambda_max: int) -> list[dict]:
-    """Normalized surplus rows at integer jobs-per-machine ratios, 3 decimals."""
-    rows = []
-    for lam in range(1, lambda_max + 1):
-        s = normalized_surplus(Fraction(lam))
-        rows.append({"lambda": lam, "exact": format_rational(s), "decimal": decimal_string(s, 3)})
-    return rows
-
-
-def surplus_breakpoint_table(lambda_max: Fraction) -> list[dict]:
-    """Rows for the breakpoints where a bag cost stops being used."""
-    rows = []
-    for point in surplus_breakpoints(lambda_max):
-        if point.dropped_cost is None:
-            continue
-        rows.append({
-            "bag_cost": point.dropped_cost,
-            "lambda_exact": format_rational(point.lam),
-            "lambda": decimal_string(point.lam, 3),
-            "surplus_exact": format_rational(point.surplus),
-            "surplus": decimal_string(point.surplus, 3),
-        })
-    return rows

@@ -1,7 +1,7 @@
 """Command-line front end: bag construction, assignment, probing, tables, campaigns.
 
 Every subcommand except ``run`` prints structured data: JSON by default, CSV
-with ``--format csv`` (the table emitters default to CSV since they exist to be
+with ``--format csv`` (``tables`` defaults to CSV since its tables exist to be
 pasted into other tools).  ``run`` prints one summary line per campaign of
 :data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by its failure
 records as one JSON object per line, then the verdict; the campaigns run in a
@@ -27,15 +27,13 @@ from functools import partial
 from .bricks import (
     BRICK_ROBUSTNESS,
     bricks_bags,
-    decimal_string,
-    factor_table,
     normalized_surplus,
     robust_bags,
-    surplus_breakpoint_table,
-    surplus_integer_table,
+    surplus_breakpoints,
+    transformation_factor,
 )
 from .model import BagProfile, Instance, SpeedProfile, makespan
-from .numerics import exact_factor, exact_rational, format_rational, parse_rational
+from .numerics import decimal_string, exact_factor, exact_rational, format_rational, parse_rational
 from .pebbles import pebbles_bags
 from .sand import (
     adversary_configs,
@@ -69,12 +67,35 @@ def _parse_values(text: str) -> list[Fraction]:
         if not isinstance(data, list):
             raise ValueError(f"{text[1:]} must hold a JSON array, got {type(data).__name__}")
         return [exact_rational(v) for v in data]
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _json_value(value: Fraction | int):
     return value.numerator if value.denominator == 1 else format_rational(value)
+
+
+def _written(value: Fraction, places: int, exact: str = "exact", decimal: str = "decimal") -> dict:
+    """The columns of one rational in a table: exact as ``p/q``, and rounded to ``places``."""
+    return {exact: format_rational(value), decimal: decimal_string(value, places)}
+
+
+def _check_options(args, flag: str, table: dict[str, tuple[tuple[str, ...], ...]]) -> None:
+    """Refuse an option that the chosen ``--flag`` requires but lacks, or does not read but got.
+
+    ``table`` maps each choice to the options it requires and the others it reads; the
+    parser leaves each option that some choice names None unless it is given.
+    """
+    choice = getattr(args, flag)
+    required, read = table[choice]
+    given = [option for pair in table.values() for option in pair[0] + pair[1]
+             if getattr(args, option.replace("-", "_")) is not None]
+    for option in required:
+        if option not in given:
+            raise ValueError(f"--{flag} {choice} requires --{option}")
+    for option in given:
+        if option not in required + read:
+            raise ValueError(f"--{flag} {choice} does not read --{option}")
 
 
 def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
@@ -96,15 +117,13 @@ def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
 
 def _cmd_bags(args) -> int:
     mode = args.mode
+    _check_options(args, "mode", {"sand": (("total",), ()), "bricks": (("n",), ("rho",)),
+                                  "pebbles": (("jobs", "rho"), ()), "auto": (("n",), ())})
     ok = True
     if mode == "sand":
-        if args.total is None:
-            raise ValueError("--mode sand requires --total")
         profile = sand_bags(args.m, args.b, args.total)
         rows = [{"bag": i, "size": _json_value(a)} for i, a in enumerate(profile.sizes)]
     elif mode == "bricks":
-        if args.n is None:
-            raise ValueError("--mode bricks requires --n")
         solution = bricks_bags(args.n, args.m, args.b, args.rho or BRICK_ROBUSTNESS)
         rows = [
             {"bag": i, "size": a, "cost": z, "total": solution.total_size,
@@ -113,20 +132,13 @@ def _cmd_bags(args) -> int:
         ]
         ok = solution.successful
     elif mode == "pebbles":
-        if not args.jobs:
-            raise ValueError("--mode pebbles requires --jobs")
-        instance = Instance(args.jobs, args.m, args.b)
-        if args.rho is None:
-            raise ValueError("--mode pebbles requires --rho")
-        result = pebbles_bags(instance, args.rho)
+        result = pebbles_bags(Instance(args.jobs, args.m, args.b), args.rho)
         rows = [
             {"bag": i, "size": _json_value(a), "packed_all": result.packed_all}
             for i, a in enumerate(result.bag_sizes)
         ]
         ok = result.packed_all
     else:  # auto
-        if args.n is None:
-            raise ValueError("--mode auto requires --n")
         profile = robust_bags(args.n, args.m, args.b)
         rows = [{"bag": i, "size": _json_value(a)} for i, a in enumerate(profile.sizes)]
     _emit_rows(rows, args.format or "json", sys.stdout)
@@ -134,13 +146,15 @@ def _cmd_bags(args) -> int:
 
 
 def _cmd_assign(args) -> int:
+    reads = ((), ("rho", "trace"))
+    _check_options(args, "algo", {"greedy": reads, "integral": reads, "optimal": ((), ())})
     trace: list[dict] | None = [] if args.trace else None
     bags = BagProfile(args.bags)
     speeds = SpeedProfile(args.speeds)  # machine indices are positions in the sorted speeds
     if args.algo == "greedy":
-        assignment = greedy_assignment(bags, speeds, args.rho, trace)
+        assignment = greedy_assignment(bags, speeds, args.rho or BRICK_ROBUSTNESS, trace)
     elif args.algo == "integral":  # the library refuses sizes and speeds that are not whole numbers
-        assignment = integral_assignment(bags.sizes, speeds.speeds, args.rho, trace)
+        assignment = integral_assignment(bags.sizes, speeds.speeds, args.rho or BRICK_ROBUSTNESS, trace)
     else:  # the optimum is its witness's makespan
         assignment = optimal_second_stage(bags, speeds)[1]
     value = makespan(assignment, bags, speeds) if assignment else None
@@ -184,15 +198,23 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_tables(args) -> int:
+    _check_options(args, "which", {"f": ((), ("zmax", "rho")), "surplus": ((), ("lambda-max",)),
+                                   "breakpoints": ((), ("lambda-max",))})
+    option, bound = ("--zmax", args.zmax) if args.which == "f" else ("--lambda-max", args.lambda_max)
+    bound = 60 if bound is None else bound
     if args.which == "f":
-        rows = factor_table(args.zmax, args.rho)
+        rho = args.rho or BRICK_ROBUSTNESS
+        rows = [{"z": z, **_written(transformation_factor(z, rho), 5)} for z in range(2, bound + 1)]
     elif args.which == "surplus":
-        rows = surplus_integer_table(args.lambda_max)
-    else:  # breakpoints up to one past --lambda-max; none below 1
-        rows = surplus_breakpoint_table(Fraction(max(args.lambda_max, 0)) + 1)
+        rows = [{"lambda": lam, **_written(normalized_surplus(Fraction(lam)), 3)}
+                for lam in range(1, bound + 1)]
+    else:  # the points up to one past --lambda-max where a bag cost drops out; none below 1
+        rows = [{"bag_cost": point.dropped_cost, **_written(point.lam, 3, "lambda_exact", "lambda"),
+                 **_written(point.surplus, 3, "surplus_exact", "surplus")}
+                for point in surplus_breakpoints(Fraction(max(bound, 0)) + 1)
+                if point.dropped_cost is not None]
     if not rows:
-        given = f"--zmax {args.zmax}" if args.which == "f" else f"--lambda-max {args.lambda_max}"
-        raise ValueError(f"{given} gives an empty {args.which} table")
+        raise ValueError(f"{option} {bound} gives an empty {args.which} table")
     _emit_rows(rows, args.format or "csv", sys.stdout)
     return 0
 
@@ -254,11 +276,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_surplus(args) -> int:
     value = normalized_surplus(args.lam)
-    rows = [{
-        "lambda": format_rational(args.lam),
-        "surplus": format_rational(value),
-        "decimal": decimal_string(value, 3),
-    }]
+    rows = [{"lambda": format_rational(args.lam), **_written(value, 3, "surplus")}]
     _emit_rows(rows, args.format or "json", sys.stdout)
     return 0
 
@@ -288,8 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=["greedy", "integral", "optimal"], required=True)
     p.add_argument("--bags", type=_parse_values, required=True)
     p.add_argument("--speeds", type=_parse_values, required=True)
-    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
-    p.add_argument("--trace", action="store_true", help="include per-step capacity columns")
+    p.add_argument("--rho", type=_positive_rational, help="target factor (default 8/5)")
+    p.add_argument("--trace", action="store_true", default=None,
+                   help="include per-step capacity columns")
     add_format(p)
     p.set_defaults(func=_cmd_assign)
 
@@ -303,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="emit the analysis tables")
     p.add_argument("--which", choices=["f", "surplus", "breakpoints"], required=True)
-    p.add_argument("--zmax", type=int, default=60)
-    p.add_argument("--lambda-max", dest="lambda_max", type=int, default=60)
-    p.add_argument("--rho", type=_positive_rational, default=BRICK_ROBUSTNESS)
+    p.add_argument("--zmax", type=int, help="largest cost of the f table (default 60)")
+    p.add_argument("--lambda-max", dest="lambda_max", type=int,
+                   help="largest jobs-per-machine ratio (default 60)")
+    p.add_argument("--rho", type=_positive_rational, help="factor of the f table (default 8/5)")
     add_format(p)
     p.set_defaults(func=_cmd_tables)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numerics import _to_common_ints, exact_ints, exact_rational
+from .numerics import _refuse_string, _to_common_ints, exact_ints, exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -30,7 +30,8 @@ class Infeasible(ValueError):
     """No valid result exists for the given inputs."""
 
 
-def _sorted_fractions(values: Iterable[Fraction | int | str]) -> tuple[Fraction, ...]:
+def _sorted_fractions(values: Iterable[Fraction | int | str], name: str) -> tuple[Fraction, ...]:
+    _refuse_string(values, name)
     out = []
     for v in values:
         f = exact_rational(v)
@@ -50,7 +51,7 @@ class Instance:
 
     def __init__(self, job_sizes: Iterable[Fraction | int | str], machine_count: int, bag_count: int):
         exact_ints(1, machine_count=machine_count, bag_count=bag_count)
-        sizes = _sorted_fractions(job_sizes)
+        sizes = _sorted_fractions(job_sizes, "job_sizes")
         # non-negative and non-increasing: the total is positive iff the first size is
         if not sizes or sizes[0] == 0:
             raise ValueError("total processing time must be positive")
@@ -70,7 +71,7 @@ class BagProfile:
     sizes: tuple[Fraction, ...]
 
     def __init__(self, sizes: Iterable[Fraction | int | str]):
-        object.__setattr__(self, "sizes", _sorted_fractions(sizes))
+        object.__setattr__(self, "sizes", _sorted_fractions(sizes, "sizes"))
 
     @classmethod
     def _trusted(cls, sizes: tuple[Fraction, ...]) -> BagProfile:
@@ -95,7 +96,7 @@ class SpeedProfile:
     speeds: tuple[Fraction, ...]
 
     def __init__(self, speeds: Iterable[Fraction | int | str]):
-        values = _sorted_fractions(speeds)
+        values = _sorted_fractions(speeds, "speeds")
         if not values or all(s == 0 for s in values):
             raise ValueError("speeds must contain at least one positive value")
         object.__setattr__(self, "speeds", values)

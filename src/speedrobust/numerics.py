@@ -6,7 +6,8 @@ rational type is :class:`fractions.Fraction` (always stored reduced, positive
 denominator).
 
 The argument rule of every public function is here too: counts pass
-:func:`exact_ints` and factors :func:`exact_factor`, or ``ValueError`` names them.
+:func:`exact_ints` and factors :func:`exact_factor`, and a list is not a string,
+or ``ValueError`` names them.
 """
 
 from __future__ import annotations
@@ -76,7 +77,8 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
 
     Floats are rejected like float literals are: ``Fraction(0.1)`` is the
     binary approximation 3602879701896397/36028797018963968, not 1/10.
-    Booleans are rejected too, rather than read as 1 and 0.
+    Booleans are rejected too, rather than read as 1 and 0, and so is any
+    value ``Fraction()`` cannot read, with ``ValueError`` rather than its ``TypeError``.
     """
     if isinstance(value, str):
         return parse_rational(value)
@@ -84,7 +86,10 @@ def exact_rational(value: Fraction | int | str) -> Fraction:
         raise ValueError(f"not an exact rational (floats are rejected): {value!r}")
     if isinstance(value, bool):
         raise ValueError(f"not an exact rational (true/false are rejected): {value!r}")
-    return Fraction(value)
+    try:
+        return Fraction(value)
+    except (TypeError, OverflowError):  # None, a list, a complex; an infinite Decimal
+        raise ValueError(f"not an exact rational: {value!r}") from None
 
 
 def exact_ints(least: int | None = None, /, **values: int) -> None:
@@ -112,11 +117,18 @@ def exact_factor(value: Fraction | int | str, name: str = "rho",
 
 def whole_numbers(values: Iterable[int | Fraction | str], name: str) -> list[int]:
     """``values`` as ints >= 0, each an int or read by :func:`exact_rational` with denominator 1."""
+    _refuse_string(values, name)
     numbers = [value if type(value) is int else exact_rational(value) for value in values]
     for value in numbers:
         if value < 0 or value.denominator != 1:
             raise ValueError(f"{name} must be whole numbers, got {value}")
     return [int(value) for value in numbers]
+
+
+def _refuse_string(values: Iterable, name: str) -> None:
+    """The list check: a string is refused rather than read one character at a time."""
+    if isinstance(values, str):
+        raise ValueError(f"{name} must be a list of values, got the string {values!r}")
 
 
 def _listed(items: Iterable[str]) -> str:
@@ -131,3 +143,13 @@ def format_rational(value: Fraction | int) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     return f"{value.numerator}/{value.denominator}"
+
+
+def decimal_string(value: Fraction, places: int) -> str:
+    """Round-half-up decimal rendering of an exact rational; floats and booleans are refused."""
+    value = exact_rational(value)
+    sign = "-" if value < 0 else ""
+    scaled = abs(value) * 10**places
+    units = (scaled.numerator + scaled.denominator // 2) // scaled.denominator
+    digits = str(units).rjust(places + 1, "0")
+    return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"

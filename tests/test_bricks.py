@@ -12,7 +12,6 @@ from speedrobust.bricks import (
     bricks_bags,
     bricks_by_cost,
     bricks_fractional,
-    decimal_string,
     negative_factor_sum,
     normalized_surplus,
     robust_bags,
@@ -22,7 +21,7 @@ from speedrobust.bricks import (
     trim_to_total,
 )
 from speedrobust.model import FractionalSolution, Infeasible, SpeedProfile
-from speedrobust.numerics import ceil_div, floor_scale
+from speedrobust.numerics import ceil_div, decimal_string, floor_scale
 from speedrobust.sand import sand_robustness
 from speedrobust.second_stage import optimal_second_stage
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -256,6 +257,46 @@ def test_probe_takes_an_empty_bag_list_as_a_profile(capsys, bags):
 def test_bags_modes_name_their_missing_option(capsys, argv, message):
     code, out, err = run_cli(capsys, "bags", *argv, "--m", "2", "--b", "2")
     assert code == 2 and f"error: {message}" in err and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("tables", "--which", "surplus", "--rho", "3/2"), "--which surplus does not read --rho"),
+    (("tables", "--which", "breakpoints", "--rho", "3/2"), "--which breakpoints does not read --rho"),
+    (("tables", "--which", "f", "--lambda-max", "5"), "--which f does not read --lambda-max"),
+    (("tables", "--which", "surplus", "--zmax", "5"), "--which surplus does not read --zmax"),
+    (("bags", "--mode", "auto", "--n", "9", "--m", "3", "--b", "3", "--rho", "3/2"),
+     "--mode auto does not read --rho"),
+    (("bags", "--mode", "sand", "--total", "15", "--m", "2", "--b", "4", "--n", "5"),
+     "--mode sand does not read --n"),
+    (("bags", "--mode", "bricks", "--n", "9", "--m", "3", "--b", "3", "--total", "7"),
+     "--mode bricks does not read --total"),
+    (("bags", "--mode", "bricks", "--n", "9", "--m", "3", "--b", "3", "--jobs", "1,1"),
+     "--mode bricks does not read --jobs"),
+    (("bags", "--mode", "pebbles", "--jobs", "1,1", "--rho", "2", "--m", "2", "--b", "2", "--n", "4"),
+     "--mode pebbles does not read --n"),
+    (("assign", "--algo", "optimal", "--bags", "3,1", "--speeds", "1,1", "--rho", "1"),
+     "--algo optimal does not read --rho"),
+    (("assign", "--algo", "optimal", "--bags", "3,1", "--speeds", "1,1", "--trace"),
+     "--algo optimal does not read --trace"),
+])
+def test_an_option_the_choice_does_not_read_exits_two(capsys, argv, message):
+    # each of these once printed a result computed without the option, and exited 0
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and f"error: {message}" in err and "Traceback" not in err and out == ""
+
+
+@pytest.mark.parametrize("which,fmt,digest", [
+    ("f", "csv", "ed88f8ad7882e320603a580bf254200f5ff8da19bc3d87346f09a1d5fdab3fa8"),
+    ("f", "json", "de90a6234a02b3e1c6a8e7d8a8f3455dbd543fbb7edcac87b7862bf140532798"),
+    ("surplus", "csv", "6b167ac9158a0920e4575438ac91c258088c51d53c9e5a0dac4535fe5079c44f"),
+    ("surplus", "json", "57fafd1b1d2555eb8b2e1c1a1d5a8ee22e36ee8ebcf407f7c252118dee31d7c7"),
+    ("breakpoints", "csv", "454cb45199af74d08cbc1b378dd4d13206070c48252fb4ab9000e0549be755d4"),
+    ("breakpoints", "json", "8d6f0872489fd068746e9c5e6d9ae7a51e170ba62e48501d373851e6540f5d1d"),
+])
+def test_default_tables_keep_their_bytes(capsys, which, fmt, digest):
+    # the tables of the 8/5 analysis at their default bounds, as CI emits them
+    code, out, _ = run_cli(capsys, "tables", "--which", which, "--format", fmt)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_sand_bags_with_unprintable_scale_exit_two(capsys):

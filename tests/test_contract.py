@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import contextlib
 import types
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 import pytest
 
 import speedrobust as sr
-from speedrobust.bricks import decimal_string
+from speedrobust.numerics import decimal_string, exact_factor
 
 RHO = Fraction(8, 5)
 
@@ -190,9 +191,20 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.format_rational(True),  # returned 1
     lambda: decimal_string(0.1, 3),  # returned 0.100
     lambda: sr.Assignment([1.5, True]),  # stored machines (1, 1)
+    lambda: sr.BagProfile("12"),  # returned sizes (2, 1)
+    lambda: sr.SpeedProfile("31"),  # returned speeds (3, 1)
+    lambda: sr.Instance("12", 1, 1),  # returned job sizes (2, 1)
+    lambda: sr.integral_assignment([3, 1], "21", RHO),  # returned Assignment((0, 1))
+    lambda: sr.BagProfile([None]),  # raised TypeError
+    lambda: sr.SpeedProfile([1 + 2j]),  # raised TypeError
+    lambda: sr.format_rational(None),  # raised TypeError
+    lambda: exact_factor([1]),  # raised TypeError
+    lambda: sr.BagProfile([Decimal("Infinity")]),  # raised OverflowError
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
-        "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index"])
+        "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
+        "bags_string", "speeds_string", "instance_string", "integral_string", "bags_none",
+        "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()
