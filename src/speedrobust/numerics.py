@@ -6,15 +6,15 @@ rational type is :class:`fractions.Fraction` (always stored reduced, positive
 denominator).
 
 The argument rule of every public function is here too: counts pass
-:func:`exact_ints` and factors :func:`exact_factor`, and a list is not a string,
-or ``ValueError`` names them.
+:func:`exact_ints` and factors :func:`exact_factor`, and a list is not a
+string, bytes or a mapping, or ``ValueError`` names them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import Collection, Iterable
+from collections.abc import Collection, Iterable, Mapping
 
 
 def floor_scale(units: int, rho: Fraction) -> int:
@@ -126,9 +126,9 @@ def whole_numbers(values: Iterable[int | Fraction | str], name: str) -> list[int
 
 
 def _refuse_string(values: Iterable, name: str) -> None:
-    """The list check: a string is refused rather than read one character at a time."""
-    if isinstance(values, str):
-        raise ValueError(f"{name} must be a list of values, got the string {values!r}")
+    """The list check: a string, bytes or a mapping is refused rather than read by character, byte or key."""
+    if isinstance(values, (str, bytes, bytearray, Mapping)):
+        raise ValueError(f"{name} must be a list of values, got {type(values).__name__} {values!r}")
 
 
 def _listed(items: Iterable[str]) -> str:

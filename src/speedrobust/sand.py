@@ -118,13 +118,14 @@ def adversary_configs(machines: int, bags: int) -> list[SpeedProfile]:
     return [SpeedProfile(speeds) for speeds in _adversary_speeds(geometric_skeleton(machines, bags))]
 
 
-def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None) -> list[Fraction]:
-    """Optimal second-stage makespan of ``profile`` on each adversary configuration.
+def _scaled_profile(machines: int, bags: int,
+                    profile: BagProfile | None) -> tuple[GeometricSkeleton, list[int], int]:
+    """The checks of :func:`adversary_optima` and :func:`lower_bound_probe`, and the scaled profile.
 
-    ``profile`` defaults to the sand profile at the skeleton scale.  The
-    oracle's size caps are checked before the skeleton is built.  The profile
-    is scaled to integers once; each configuration is searched on its
-    integer speeds directly.
+    The oracle's size caps are checked before the skeleton is built.
+    ``profile`` defaults to the sand profile at the skeleton scale; it must
+    have ``bags`` sizes summing to the scale.  Returns the skeleton and the
+    positive sizes times their common denominator, with that denominator.
     """
     exact_ints(1, machines=machines, bags=bags)
     _check_oracle_size(bags, machines)
@@ -133,9 +134,20 @@ def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None
         profile = sand_bags(machines, bags, sk.scale)
     if len(profile.sizes) != bags:
         raise ScaleMismatch(f"profile has {len(profile.sizes)} bags, expected {bags}")
-    if profile.total != sk.scale:
-        raise ScaleMismatch(f"profile sums to {profile.total}, expected scale {sk.scale}")
-    sizes, denom = _to_common_ints([a for a in profile.sizes if a > 0])
+    scaled, denom = _to_common_ints(profile.sizes)
+    if sum(scaled) != sk.scale * denom:
+        raise ScaleMismatch(f"profile sums to {Fraction(sum(scaled), denom)}, expected scale {sk.scale}")
+    return sk, [a for a in scaled if a], denom
+
+
+def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None) -> list[Fraction]:
+    """Optimal second-stage makespan of ``profile`` on each adversary configuration.
+
+    ``profile`` defaults to the sand profile at the skeleton scale.  The
+    profile is scaled to integers once; each configuration is searched on
+    its integer speeds directly.
+    """
+    sk, sizes, denom = _scaled_profile(machines, bags, profile)
     return [_search_min_makespan(sizes, speeds)[0] / denom for speeds in _adversary_speeds(sk)]
 
 
@@ -148,5 +160,18 @@ def lower_bound_probe(machines: int, bags: int, profile: BagProfile) -> Fraction
     sand profile the result is exactly the tight robustness factor; for any
     other profile it can only be larger.  Raises SizeLimit beyond the
     oracle's caps (16 bags, 8 machines).
+
+    Only the maximum is needed, so each configuration is searched only as far
+    as it can raise the running maximum M, kept as an integer pair.  Once
+    configuration k's search finds a leaf at or below M, that configuration
+    cannot raise the maximum and can stop.  If its optimum is above M, no
+    leaf is ever at or below M, so the search runs unchanged and returns the
+    exact optimum.
     """
-    return max(adversary_optima(machines, bags, profile))
+    sk, sizes, denom = _scaled_profile(machines, bags, profile)
+    top, unit = 0, 1
+    for speeds in _adversary_speeds(sk):
+        value = _search_min_makespan(sizes, speeds, (top, unit))[0]
+        if value.numerator * unit > top * value.denominator:
+            top, unit = value.numerator, value.denominator
+    return Fraction(top, unit * denom)

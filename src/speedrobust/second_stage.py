@@ -148,7 +148,8 @@ def integral_assignment(
     return _view(owners, steps, sizes, trace)
 
 
-def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction, list[int]]:
+def _search_min_makespan(sizes: list[int], speeds: list[int],
+                         stop: tuple[int, int] | None = None) -> tuple[Fraction, list[int]]:
     """Exact min makespan of positive integer sizes over positive integer speeds.
 
     Times are integers in units of unit = lcm(speeds): a load on machine j
@@ -163,6 +164,10 @@ def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction,
     an incumbent at floor is optimal.  If the bound is exact the search stops
     there; otherwise only branches already at the incumbent go on, since
     only they can reach a (tying) leaf.
+
+    ``stop`` = (time, time_unit) is a threshold: the search also stops at the
+    first incumbent at or below time / time_unit, and returns it.  Below the
+    optimum no incumbent ever is, and the search is the one without it.
     """
     m, n = len(speeds), len(sizes)
     unit = lcm(*speeds)
@@ -179,9 +184,18 @@ def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction,
         warm[k] = i
     best = max(times)
     best_owner = warm
+    # The greatest integer time at or below the threshold; -1 stops nothing.  A warm
+    # start at or below it ends the search before the floor and the symmetry lists.
+    limit = -1 if stop is None else stop[0] * unit // stop[1]
+    if best <= limit:
+        return Fraction(best, unit), best_owner
     floor, rest = divmod(sum(sizes) * unit, sum(speeds))
     exact = not rest
     floor += not exact
+    if limit >= floor:  # any incumbent at or below limit ends the search, as one at an exact floor does
+        floor, exact = limit, True
+    if best <= floor:
+        return Fraction(best, unit), best_owner
 
     # Machine j with the earlier machines of its speed: j is skipped while one of them has its time.
     machines = [(j, [i for i in range(j) if speeds[i] == speeds[j]]) for j in range(m)]
@@ -215,8 +229,7 @@ def _search_min_makespan(sizes: list[int], speeds: list[int]) -> tuple[Fraction,
             times[j] -= step[j]
             if best <= floor and (exact or current < best):
                 return
-    if best > floor:
-        dfs(0, 0)
+    dfs(0, 0)
     return Fraction(best, unit), best_owner
 
 

@@ -415,9 +415,9 @@ CAMPAIGNS: dict[str, Campaign] = {
     # one check per integer bag profile
     "lower-bound": Campaign(_lower_bound,
                             full={"cells": [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 3),
-                                            (5, 3), (3, 4)]},
+                                            (5, 3), (3, 4), (6, 3)]},
                             quick={"cells": [(2, 2), (2, 3), (3, 3)]},
-                            checked=(7_132, 88)),
+                            checked=(11_129, 88)),
     # one check per integral speed profile
     "bricks-robustness": Campaign(_bricks_robustness_range,
                                   full={"n_max": 40, "m_max": 8}, quick={"n_max": 12, "m_max": 4},

@@ -151,8 +151,8 @@ def test_criterion_06_sand_tightness_both_sides():
 def test_criterion_07_discretized_lower_bound_certificate():
     # one check per integer bag profile summing to m**b; the least probe must equal the bound
     report, met = _full_run("lower-bound", {"campaign": "lower-bound", "cells": [
-        [2, 2], [2, 3], [3, 3], [2, 4], [2, 5], [4, 3], [5, 3], [3, 4]]})
-    ok = met and report.ok and report.checked == 7_132
+        [2, 2], [2, 3], [3, 3], [2, 4], [2, 5], [4, 3], [5, 3], [3, 4], [6, 3]]})
+    ok = met and report.ok and report.checked == 11_129
     _criterion(7, "every integer bag profile loses at least the tight factor "
                   "against the adversary family, and some profile loses exactly that", ok)
 

@@ -200,11 +200,16 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.format_rational(None),  # raised TypeError
     lambda: exact_factor([1]),  # raised TypeError
     lambda: sr.BagProfile([Decimal("Infinity")]),  # raised OverflowError
+    lambda: sr.BagProfile(b"12"),  # returned sizes (50, 49), the code points
+    lambda: sr.SpeedProfile(bytearray(b"\x03\x01")),  # returned speeds (3, 1)
+    lambda: sr.BagProfile({3: 1, 2: 5}),  # returned sizes (3, 2), the keys
+    lambda: sr.integral_assignment(b"\x03\x01", [2, 2], RHO),  # ran on the sizes 3 and 1
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
         "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
         "bags_string", "speeds_string", "instance_string", "integral_string", "bags_none",
-        "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal"])
+        "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal", "bags_bytes",
+        "speeds_bytearray", "bags_mapping", "integral_bytes"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

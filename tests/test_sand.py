@@ -17,6 +17,7 @@ from speedrobust.sand import (
     sand_robustness,
 )
 from speedrobust.second_stage import greedy_assignment, optimal_second_stage
+from speedrobust.verify import _partitions
 
 
 def test_skeleton_prefix_sums_exact():
@@ -181,6 +182,16 @@ def test_probe_equals_former_per_configuration_oracle(m, b, integral, seed):
     expected = former_probe(m, b, profile)
     assert adversary_optima(m, b, profile) == expected
     assert lower_bound_probe(m, b, profile) == max(expected)
+
+
+# The grids of the oracle-cert benchmark, 1,357 profiles: every one the early stop could get wrong.
+@pytest.mark.parametrize("m, b, count", [(2, 2, 3), (2, 3, 10), (3, 3, 75), (2, 4, 64),
+                                         (2, 5, 831), (4, 3, 374)])
+def test_probe_is_the_greatest_optimum_on_every_integer_profile(m, b, count):
+    profiles = [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
+    assert len(profiles) == count
+    for profile in profiles:
+        assert lower_bound_probe(m, b, profile) == max(adversary_optima(m, b, profile))
 
 
 def test_optima_default_to_the_sand_profile():

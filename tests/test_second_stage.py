@@ -462,6 +462,34 @@ def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, g
     assert isinstance(value, Fraction)
 
 
+# Thresholds on both sides of the optimum and of the first incumbent, at them, and off the
+# search's integer time grid.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(1, 12), min_size=1, max_size=9),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.booleans(),
+    st.integers(-4, 4),
+    st.sampled_from([1, 2, 3, 7, 60]),
+)
+@example([5, 3, 3], [2, 1], False, 0, 1)  # a threshold exactly at the optimum 4
+@example([3, 3, 2, 2, 2], [1, 1], True, -1, 7)  # 1/7 below the first incumbent 7, above the optimum 6
+def test_thresholded_search_is_the_plain_search_until_it_can_stop(raw_sizes, raw_speeds,
+                                                                  from_first, shift, grain):
+    sizes, speeds = sorted(raw_sizes, reverse=True), sorted(raw_speeds, reverse=True)
+    plain = _search_min_makespan(sizes, speeds)
+    # Every makespan is at most sum(sizes), so that threshold returns the first incumbent.
+    first, _ = _search_min_makespan(sizes, speeds, (sum(sizes), 1))
+    anchor = first if from_first else plain[0]
+    threshold = max(anchor + Fraction(shift, grain), Fraction(0))
+    value, witness = _search_min_makespan(sizes, speeds, (threshold.numerator, threshold.denominator))
+    if threshold < plain[0]:
+        assert (value, witness) == plain
+    else:
+        assert value <= threshold
+        assert makespan(Assignment(witness), BagProfile(sizes), SpeedProfile(speeds)) == value
+
+
 def test_direct_optimum_known_values():
     assert optimal_second_stage(BagProfile([1] * 13), SpeedProfile([4, 3, 3, 2, 1]))[0] == 1
     assert optimal_second_stage(BagProfile([3, 2]), SpeedProfile([5]))[0] == 1
