@@ -1,5 +1,7 @@
 """Speed-robust bag scheduling: exact constructions, assigners, and verification."""
 
+from types import ModuleType as _ModuleType
+
 from .bricks import (
     BRICK_ROBUSTNESS,
     BrickSolution,
@@ -52,4 +54,5 @@ from .verify import (
     verify_sand_upper,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

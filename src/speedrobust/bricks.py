@@ -17,7 +17,7 @@ from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible
 from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
-from .pebbles import _unit_pebbles
+from .pebbles import _pack
 from .sand import sand_robustness
 from .second_stage import _coin_costs
 
@@ -273,9 +273,9 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     Up to 60 jobs per machine this is the coin construction at factor 8/5,
     trimmed to the job count, when its sizes reach the job count.  Otherwise
     it is the greedy small-jobs packing at
-    ``sand_robustness(machines, bags) + machines / jobs``, in closed form:
-    the sizes of :func:`pebbles_bags` on the unit jobs, from O(bags) integer
-    steps rather than one step per job.
+    ``sand_robustness(machines, bags) + machines / jobs``: the unit jobs'
+    running sums are ``range(jobs + 1)``, so :func:`pebbles._pack` packs
+    them in O(bags log jobs) steps rather than one step per job.
 
     With bags == machines the coin sizes reach the job count and the
     coin-paying assigner places them at 8/5 on every integral speed profile
@@ -290,10 +290,10 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
         if solution.successful:
             return BagProfile(trim_to_total(solution, jobs).bag_sizes)
     rho = sand_robustness(machines, bags) + Fraction(machines, jobs)
-    sizes = _unit_pebbles(jobs, machines, bags, rho)
-    if sum(sizes) < jobs:
+    ends = _pack(range(jobs + 1), machines, bags, rho)
+    if ends[-1] < jobs:
         raise Infeasible(
             f"no construction packed jobs={jobs} machines={machines} bags={bags}"
         )
-    return BagProfile(sizes)
+    return BagProfile(e - s for s, e in zip([0] + ends, ends))
 

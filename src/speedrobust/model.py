@@ -124,6 +124,7 @@ class Assignment:
     machine_of_bag: tuple[int, ...]
 
     def __init__(self, machine_of_bag: Iterable[int]):
+        _refuse_string(machine_of_bag, "machine_of_bag")
         owners = tuple(machine_of_bag)
         if any(isinstance(i, bool) or not isinstance(i, int) for i in owners):
             raise InvalidAssignment(f"machine indices must be integers, got {owners}")

@@ -11,8 +11,11 @@ guaranteed to pack everything.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .model import Instance
 from .numerics import _to_common_ints, exact_factor
@@ -44,6 +47,30 @@ def reference_sequence(machines: int, bags: int) -> tuple[Fraction, ...]:
     return sand_bags(machines, bags, machines).sizes
 
 
+def _pack(prefix: Sequence[int], machines: int, bags: int, rho: Fraction) -> list[int]:
+    """Where each bag ends, as indices into ``prefix``, the jobs' running sums.
+
+    The jobs are non-negative integers X_j with total T = prefix[-1].  Bag k
+    starts at job i, after earlier bags of sum P = prefix[i].  At the scale
+    where the total is m, a job goes into the bag (sum S) unless
+    m * (S + X_j) / T > rho - P / T, that is unless m * (S + X_j) + P > cap
+    with cap = floor(rho * T), since the left side is an integer.  So the bag
+    takes the longest run with S <= (cap - P) // m, which one bisection
+    finds, as the running sums never fall.  P never exceeds cap, since each
+    bag keeps m * S + P <= cap, so the run is never negative.  Unit jobs
+    pass ``range(n + 1)``, which bisect reads without building a list:
+    O(bags log n) steps.
+    """
+    cap = rho.numerator * prefix[-1] // rho.denominator
+    ends = []
+    i = 0
+    for _ in range(bags):
+        p = prefix[i]
+        i = bisect_right(prefix, p + (cap - p) // machines, i) - 1
+        ends.append(i)
+    return ends
+
+
 def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     """Pack jobs greedily into bags under the capacity bound at factor ``rho``.
 
@@ -52,56 +79,20 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     measured at the normalized scale where the total equals the machine
     count; then the next bag is tried.  ``packed_all`` is False when jobs
     remain after the last bag, the signal that ``rho`` was too small for this
-    instance.
-
-    The test runs on integers: with d the lcm of the job denominators, job j
-    is X_j = p_j * d, T = sum(X_j), S is the current bag's sum and P the sum
-    of the earlier bags.  At the normalized scale the job, the current bag and
-    the earlier bags are X_j * m / T, S * m / T and P * m / T, so the test
-    times T is m * (S + X_j) + P > rho * T; the left side is an integer, so
-    this is m * (S + X_j) + P > floor(rho * T).  Bag sizes are S / d.
+    instance.  The jobs are scaled to integers by the lcm d of their
+    denominators and packed by :func:`_pack`; bag sizes are the scaled sums
+    divided by d.
     """
     rho = exact_factor(rho, least=1)
-    m, b = instance.machine_count, instance.bag_count
     scaled, d = _to_common_ints(instance.job_sizes)
-    cap = rho.numerator * sum(scaled) // rho.denominator
-
+    prefix = list(accumulate(scaled, initial=0))
+    ends = _pack(prefix, instance.machine_count, instance.bag_count, rho)
     bag_of_job: dict[int, int] = {}
-    sizes = [0] * b
-    prefix = 0  # total of the bags strictly before the current one
-    k = 0
-    for j, x in enumerate(scaled):
-        while k < b and m * (sizes[k] + x) + prefix > cap:
-            prefix += sizes[k]
-            k += 1
-        if k >= b:
-            break
-        bag_of_job[j] = k
-        sizes[k] += x
-
-    return PebblesResult(
-        bag_of_job=bag_of_job,
-        bag_sizes=tuple(Fraction(s, d) for s in sizes),
-        packed_all=len(bag_of_job) == len(scaled),
-    )
-
-
-def _unit_pebbles(jobs: int, machines: int, bags: int, rho: Fraction) -> list[int]:
-    """Bag sizes, in packing order, of :func:`pebbles_bags` on ``jobs`` unit jobs, in O(bags).
-
-    With unit jobs, d = 1 and T = jobs, so with cap = floor(rho * jobs) bag k
-    takes jobs while m * (S + 1) + P <= cap: it gets (cap - P) // m of the
-    jobs left, where P is the sum of the earlier bags.  P never exceeds cap,
-    because each bag keeps m * S + P <= cap.  The jobs are all packed iff the
-    sizes sum to ``jobs``.  ``rho`` is a Fraction >= 1, as for
-    :func:`pebbles_bags`.
-    """
-    cap = rho.numerator * jobs // rho.denominator
     sizes = []
-    left, prefix = jobs, 0
-    for _ in range(bags):
-        s = min(left, (cap - prefix) // machines)
-        sizes.append(s)
-        left -= s
-        prefix += s
-    return sizes
+    start = 0
+    for k, end in enumerate(ends):
+        for j in range(start, end):
+            bag_of_job[j] = k
+        sizes.append(Fraction(prefix[end] - prefix[start], d))
+        start = end
+    return PebblesResult(bag_of_job=bag_of_job, bag_sizes=tuple(sizes), packed_all=start == len(scaled))

@@ -184,15 +184,13 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
         warm[k] = i
     best = max(times)
     best_owner = warm
-    # The greatest integer time at or below the threshold; -1 stops nothing.  A warm
-    # start at or below it ends the search before the floor and the symmetry lists.
-    limit = -1 if stop is None else stop[0] * unit // stop[1]
-    if best <= limit:
-        return Fraction(best, unit), best_owner
     floor, rest = divmod(sum(sizes) * unit, sum(speeds))
     exact = not rest
     floor += not exact
-    if limit >= floor:  # any incumbent at or below limit ends the search, as one at an exact floor does
+    # The greatest integer time at or below the threshold; -1 stops nothing.  No incumbent is
+    # below the floor, so a limit at or above it stops the search as an exact floor does.
+    limit = -1 if stop is None else stop[0] * unit // stop[1]
+    if limit >= floor:
         floor, exact = limit, True
     if best <= floor:
         return Fraction(best, unit), best_owner

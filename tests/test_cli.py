@@ -225,6 +225,22 @@ def test_float_literals_exit_two_with_the_reason(capsys, argv):
     assert code == 2 and "floats are rejected" in err and out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    "probe --m 1 --b 1",
+    "assign --algo optimal --bags , --speeds 1 --format csv",
+    "assign --algo integral --bags , --speeds 1",
+    "bags --mode pebbles --m 2 --b 2 --jobs 0,0 --rho 2",
+    "bags --mode auto --n 100000000000 --m 1 --b 1",
+    "surplus --lam -1",
+    "tables --which f --zmax 2 --rho 1/1000000",
+])
+def test_edge_values_exit_cleanly(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code in (0, 1, 2)
+    assert ("error:" in err) == (code == 2)
+    assert "Traceback" not in out + err
+
+
 def test_missing_jobs_file_is_a_usage_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "bags", "--mode", "pebbles", "--m", "2", "--b", "2",
                              "--jobs", f"@{tmp_path / 'absent.json'}", "--rho", "2")

@@ -137,6 +137,10 @@ def test_every_public_callable_has_an_entry():
     assert set(CONTRACT) == _public_callables()
 
 
+def test_star_import_binds_no_submodule():
+    assert [name for name in sr.__all__ if isinstance(getattr(sr, name), types.ModuleType)] == []
+
+
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_the_valid_arguments_give_a_result(name):
     entry = CONTRACT[name]
@@ -204,12 +208,17 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.SpeedProfile(bytearray(b"\x03\x01")),  # returned speeds (3, 1)
     lambda: sr.BagProfile({3: 1, 2: 5}),  # returned sizes (3, 2), the keys
     lambda: sr.integral_assignment(b"\x03\x01", [2, 2], RHO),  # ran on the sizes 3 and 1
+    lambda: sr.Assignment(b"\x00\x01"),  # stored machines (0, 1), the bytes
+    lambda: sr.Assignment(bytearray(b"\x00\x00")),  # stored machines (0, 0)
+    lambda: sr.Assignment({1: "a", 0: "b"}),  # stored machines (1, 0), the keys
+    lambda: sr.makespan(sr.Assignment(b"\x00\x00"), sr.BagProfile([1, 1]), sr.SpeedProfile([1])),  # returned 2
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
         "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
         "bags_string", "speeds_string", "instance_string", "integral_string", "bags_none",
         "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal", "bags_bytes",
-        "speeds_bytearray", "bags_mapping", "integral_bytes"])
+        "speeds_bytearray", "bags_mapping", "integral_bytes", "assignment_bytes",
+        "assignment_bytearray", "assignment_mapping", "makespan_bytes"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

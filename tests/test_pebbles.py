@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from speedrobust.bricks import PEBBLES_CUTOVER, robust_bags
 from speedrobust.model import Instance, SpeedProfile
 from speedrobust.pebbles import (
-    PebblesResult, _unit_pebbles, pebble_ratio, pebbles_bags, reference_sequence,
+    PebblesResult, _pack, pebble_ratio, pebbles_bags, reference_sequence,
 )
 from speedrobust.sand import sand_bags, sand_robustness
 from speedrobust.second_stage import greedy_assignment
@@ -177,6 +177,20 @@ def test_integer_kernel_equals_fraction_loop():
         assert pebbles_bags(instance, rho) == _fraction_loop_pebbles(instance, rho)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packing_equals_fraction_loop_on_repeated_and_zero_sizes(data):
+    m = data.draw(st.integers(1, 8), "m")
+    b = data.draw(st.integers(1, 2 * m + 1), "b")
+    pool = [0, 0, 1, 1, 2, 3, Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)]
+    jobs = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=40), "jobs") + [1]
+    instance = Instance(jobs, m, b)
+    # from 1 to past sand + q, where every job is packed
+    top = sand_robustness(m, b) + pebble_ratio(instance)
+    rho = 1 + (top - 1) * Fraction(data.draw(st.integers(0, 300), "t"), 200)
+    assert pebbles_bags(instance, rho) == _fraction_loop_pebbles(instance, rho)
+
+
 def test_dispatcher_past_cutover_equals_fraction_loop_profile():
     for n, m in [(123, 2), (500, 3), (1000, 7), (2000, 8)]:
         assert Fraction(n, m) > PEBBLES_CUTOVER
@@ -187,6 +201,7 @@ def test_dispatcher_past_cutover_equals_fraction_loop_profile():
 
 
 def test_unit_jobs_closed_form_equals_the_packing():
+    # unit jobs' running sums are range(n + 1), read by _pack without building a list
     rng = random.Random(11)
     jobs = list(range(1, 50)) + sorted(rng.sample(range(50, 600), 6))
     checked = 0
@@ -196,10 +211,11 @@ def test_unit_jobs_closed_form_equals_the_packing():
             for n in jobs:
                 instance = Instance([1] * n, m, b)
                 for rho in rhos | {sand_robustness(m, b) + Fraction(m, n)}:
-                    sizes = _unit_pebbles(n, m, b, rho)
-                    reference = pebbles_bags(instance, rho)
+                    ends = _pack(range(n + 1), m, b, rho)
+                    sizes = [e - s for s, e in zip([0] + ends, ends)]
+                    reference = _fraction_loop_pebbles(instance, rho)
                     assert tuple(map(Fraction, sizes)) == reference.bag_sizes, (n, m, b, rho)
-                    assert (sum(sizes) == n) == reference.packed_all, (n, m, b, rho)
+                    assert (ends[-1] == n) == reference.packed_all, (n, m, b, rho)
                     checked += 1
     assert checked > 5_000
 
