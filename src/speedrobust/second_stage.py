@@ -248,9 +248,6 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     # Sorted profiles: the positive sizes and speeds are prefixes, so owners need no remap; 0 is live.
     active = [a for a in bags.sizes if a > 0]
     resting = [0] * (len(bags.sizes) - len(active))
-    if not active:
-        return Fraction(0), Assignment(resting)
-
     scaled, _ = _to_common_ints(active + [s for s in speeds.speeds if s > 0])
     value, owners = _search_min_makespan(scaled[: len(active)], scaled[len(active):])
     return value, Assignment(owners + resting)

@@ -369,57 +369,48 @@ def _bricks_robustness_range(n_max: int, m_max: int) -> VerificationReport:
 
 
 class Campaign(NamedTuple):
-    """A certifying sweep, its full and quick grids, and the outcome each must give.
+    """A certifying sweep, its grid, and the outcome it must give.
 
-    ``sweep(**grid)`` must count ``checked[0]`` checks on the full grid and
-    ``checked[1]`` on the quick one.  It must be clean, or, given a
-    ``witness``, report a failure whose fields include it.
+    ``sweep(**grid)`` must count ``checked`` checks.  It must be clean, or,
+    given a ``witness``, report a failure whose fields include it.
     """
 
     sweep: Callable[..., VerificationReport]
-    full: dict
-    quick: dict
-    checked: tuple[int, int]
+    grid: dict
+    checked: int
     witness: dict | None = None
 
-    def run(self, quick: bool = False) -> VerificationReport:
-        """Sweep the quick grid if ``quick``, else the full one."""
-        return self.sweep(**(self.quick if quick else self.full))
+    def run(self) -> VerificationReport:
+        """Sweep this campaign's grid."""
+        return self.sweep(**self.grid)
 
-    def meets(self, report: VerificationReport, quick: bool = False) -> bool:
+    def meets(self, report: VerificationReport) -> bool:
         """Whether ``report`` has this campaign's expected count and outcome."""
-        if report.checked != self.checked[1 if quick else 0]:
+        if report.checked != self.checked:
             return False
         if self.witness is None:
             return report.ok
         return any(self.witness.items() <= f.items() for f in report.failures)
 
 
-_SHAVED = {"m_max": 9, "lambda_max": 5, "rho": Fraction(159, 100)}
-
-# Acceptance criteria 4 to 7 and 9 (tests/test_acceptance.py) run the full grids.
+# Acceptance criteria 4 to 7 and 9 (tests/test_acceptance.py) run these grids.
 CAMPAIGNS: dict[str, Campaign] = {
     # the coin construction reaches n at 8/5 for m <= 144 and 60 jobs per machine
-    "success-range": Campaign(verify_bricks_success_range,
-                              full={"m_max": 144, "lambda_max": 60},
-                              quick={"m_max": 20, "lambda_max": 10},
-                              checked=(626_400, 2_100)),
+    "success-range": Campaign(verify_bricks_success_range, {"m_max": 144, "lambda_max": 60},
+                              checked=626_400),
     # at 159/100 the construction falls short at 45 jobs on 9 machines
-    "shaved-witness": Campaign(verify_bricks_success_range, full=_SHAVED, quick=_SHAVED,
-                               checked=(225, 225), witness={"n": 45, "m": 9}),
+    "shaved-witness": Campaign(verify_bricks_success_range,
+                               {"m_max": 9, "lambda_max": 5, "rho": Fraction(159, 100)},
+                               checked=225, witness={"n": 45, "m": 9}),
     # b adversary configurations plus the random trials per cell
-    "sand-tightness": Campaign(_sand_tightness,
-                               full={"m_max": 6, "trials": 1000, "seed": CAMPAIGN_SEED},
-                               quick={"m_max": 4, "trials": 100, "seed": CAMPAIGN_SEED},
-                               checked=(40_200, 1_867)),
+    "sand-tightness": Campaign(_sand_tightness, {"m_max": 6, "trials": 1000, "seed": CAMPAIGN_SEED},
+                               checked=40_200),
     # one check per integer bag profile
     "lower-bound": Campaign(_lower_bound,
-                            full={"cells": [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 3),
-                                            (5, 3), (3, 4), (6, 3)]},
-                            quick={"cells": [(2, 2), (2, 3), (3, 3)]},
-                            checked=(11_129, 88)),
+                            {"cells": [(2, 2), (2, 3), (3, 3), (2, 4), (2, 5), (4, 3), (5, 3),
+                                       (3, 4), (6, 3)]},
+                            checked=11_129),
     # one check per integral speed profile
-    "bricks-robustness": Campaign(_bricks_robustness_range,
-                                  full={"n_max": 40, "m_max": 8}, quick={"n_max": 12, "m_max": 4},
-                                  checked=(184_649, 315)),
+    "bricks-robustness": Campaign(_bricks_robustness_range, {"n_max": 40, "m_max": 8},
+                                  checked=184_649),
 }

@@ -110,7 +110,7 @@ def test_criterion_03_surplus_tables():
 
 
 def _full_run(name: str, grid: dict):
-    """Run a campaign's full grid from ``verify.CAMPAIGNS``, pinned to the grid the criterion states."""
+    """Run a campaign of ``verify.CAMPAIGNS`` on its grid, pinned to the grid the criterion states."""
     campaign = CAMPAIGNS[name]
     report = campaign.run()
     assert report.grid == grid, report.grid

@@ -25,39 +25,46 @@ def run(capsys, *argv):
     return code, captured.out.splitlines(), captured.err
 
 
-def test_quick_grids_meet_their_expectations(capsys):
-    for name, campaign in CAMPAIGNS.items():
-        report = campaign.run(quick=True)
-        assert campaign.meets(report, quick=True), (name, report.payload(include_elapsed=False))
-    code, lines, _ = run(capsys, "--quick")
-    assert code == 0 and lines[-1] == "ALL CLEAN"
-    assert [line.split()[0] for line in lines[:-1]] == list(CAMPAIGNS)
-    assert all(" : ok " in line for line in lines[:-1])
+def test_the_table_meets_its_expectations(capsys):
+    # the one run of the whole table: every campaign on its grid, through the pool
+    code, lines, _ = run(capsys)
+    assert code == 0
+    expected = [f"{name:<17} : ok (expects {'a witness' if campaign.witness else 'clean'}) "
+                f"checked={campaign.checked} failures={1 if campaign.witness else 0}"
+                for name, campaign in CAMPAIGNS.items()]
+    assert [line.rsplit(" elapsed=", 1)[0] for line in lines] == expected + ["ALL CLEAN"]
 
 
 # Module-level, so the planted entries pickle on their way to the pool's workers.
-def _planted_sweep(checked, **grid):
-    return VerificationReport(grid, checked, [{"reason": "planted"}], 0)
-
-
-def _clean_sweep(checked, **grid):
-    return VerificationReport(grid, checked, [], 0)
+def _reporting(checked, failures, **grid):
+    return VerificationReport(grid, checked, failures, 0)
 
 
 def _slow_sweep(**grid):
     time.sleep(60)
 
 
+def _met(campaign):
+    """The campaign with a sweep that reports its expected count and outcome at once."""
+    return campaign._replace(sweep=partial(_reporting, campaign.checked,
+                                           [campaign.witness] if campaign.witness else []))
+
+
+def _plant_the_table(monkeypatch):
+    for name, campaign in CAMPAIGNS.items():
+        monkeypatch.setitem(CAMPAIGNS, name, _met(campaign))
+
+
 def _planted_failure(campaign):
-    return campaign._replace(sweep=partial(_planted_sweep, campaign.checked[1]))
+    return campaign._replace(sweep=partial(_reporting, campaign.checked, [{"reason": "planted"}]))
 
 
 def _one_short(campaign):
-    return campaign._replace(sweep=partial(_clean_sweep, campaign.checked[1] - 1))
+    return campaign._replace(sweep=partial(_reporting, campaign.checked - 1, []))
 
 
 def _no_witness(campaign):
-    return campaign._replace(quick={**campaign.quick, "rho": Fraction(8, 5)})
+    return campaign._replace(grid={**campaign.grid, "rho": Fraction(8, 5)})
 
 
 @pytest.mark.parametrize("name,miss", [
@@ -66,19 +73,20 @@ def _no_witness(campaign):
     ("bricks-robustness", _one_short),  # clean, but one profile short: a walk that skipped one
 ])
 def test_a_missed_expectation_fails_the_run(monkeypatch, capsys, name, miss):
-    monkeypatch.setitem(CAMPAIGNS, name, miss(CAMPAIGNS[name]))
-    code, lines, _ = run(capsys, "--quick")
+    original = CAMPAIGNS[name]
+    _plant_the_table(monkeypatch)
+    monkeypatch.setitem(CAMPAIGNS, name, miss(original))
+    code, lines, _ = run(capsys)
     assert code == 1 and lines[-1] == "FAILURES FOUND"
     missed = [line.split()[0] for line in lines if " : MISSED " in line]
     assert missed == [name]
 
 
 def test_a_miss_prints_its_failure_records(monkeypatch, capsys):
-    # success-range expects a clean sweep; at 159/100 its quick grid has real shortfalls
-    campaign = CAMPAIGNS["success-range"]
-    monkeypatch.setitem(CAMPAIGNS, "success-range",
-                        campaign._replace(quick={**campaign.quick, "rho": Fraction(159, 100)}))
-    code, lines, _ = run(capsys, "success-range", "--quick")
+    # success-range expects a clean sweep; at 159/100 a grid of m <= 20 has real shortfalls
+    monkeypatch.setitem(CAMPAIGNS, "success-range", CAMPAIGNS["success-range"]._replace(
+        grid={"m_max": 20, "lambda_max": 10, "rho": Fraction(159, 100)}))
+    code, lines, _ = run(capsys, "success-range")
     assert code == 1 and lines[0].startswith("success-range     : MISSED (expects clean) ")
     records = [json.loads(line) for line in lines[1:-1]]
     assert f" failures={len(records)} " in lines[0] and records
@@ -88,21 +96,23 @@ def test_a_miss_prints_its_failure_records(monkeypatch, capsys):
 
 def test_met_campaigns_print_no_records(capsys):
     # shaved-witness meets its expectation by failing: its witness is not printed
-    code, lines, _ = run(capsys, "shaved-witness", "--quick")
+    code, lines, _ = run(capsys, "shaved-witness")
     assert code == 0 and len(lines) == 2 and " : ok " in lines[0] and " failures=1 " in lines[0]
 
 
-def test_named_campaigns_run_in_table_order(capsys):
-    code, lines, _ = run(capsys, "lower-bound", "shaved-witness", "--quick")
+def test_named_campaigns_run_in_table_order(monkeypatch, capsys):
+    _plant_the_table(monkeypatch)
+    code, lines, _ = run(capsys, "lower-bound", "shaved-witness")
     assert code == 0 and lines[-1] == "ALL CLEAN"
     assert [line.split()[0] for line in lines[:-1]] == ["shaved-witness", "lower-bound"]
 
 
 @pytest.mark.parametrize("argv,reason", [
     (("no-such-campaign",), "error: unknown campaign no-such-campaign"),
-    (("lower-bound", "x", "--quick"), "error: unknown campaign x"),
+    (("lower-bound", "x"), "error: unknown campaign x"),
     (("--workers", "2"), "usage: speedrobust"),  # the pool sizes itself; there is no knob
     (("--seed", "5"), "usage: speedrobust"),  # the library's verify_sand_upper(seed=...) reseeds the trials
+    (("--quick",), "usage: speedrobust"),  # each campaign has one grid
 ])
 def test_bad_arguments_exit_two_before_any_campaign(capsys, argv, reason):
     code, lines, err = run(capsys, *argv)
@@ -110,16 +120,14 @@ def test_bad_arguments_exit_two_before_any_campaign(capsys, argv, reason):
 
 
 def test_pooled_run_prints_the_in_process_lines(capsys):
-    expected = []
-    for name, campaign in CAMPAIGNS.items():
-        report = campaign.run(quick=True)
-        met = campaign.meets(report, quick=True)
-        expected.append(f"{name:<17} : {'ok' if met else 'MISSED'} "
-                        f"(expects {'a witness' if campaign.witness else 'clean'}) "
-                        f"checked={report.checked} failures={len(report.failures)}")
-    code, lines, _ = run(capsys, "--quick")
+    # the clean campaigns are checked against their pinned counts by the table's one run
+    campaign = CAMPAIGNS["shaved-witness"]
+    report = campaign.run()
+    expected = (f"shaved-witness    : {'ok' if campaign.meets(report) else 'MISSED'} "
+                f"(expects a witness) checked={report.checked} failures={len(report.failures)}")
+    code, lines, _ = run(capsys, "shaved-witness")
     assert code == 0
-    assert [line.rsplit(" elapsed=", 1)[0] for line in lines] == expected + ["ALL CLEAN"]
+    assert [line.rsplit(" elapsed=", 1)[0] for line in lines] == [expected, "ALL CLEAN"]
 
 
 @pytest.mark.parametrize("cpus,names,size", [
@@ -142,9 +150,10 @@ def test_the_pool_has_one_worker_per_usable_cpu_and_campaign(monkeypatch, capsys
         def shutdown(self, cancel_futures=False):
             pass
 
+    _plant_the_table(monkeypatch)
     monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    code, lines, _ = run(capsys, *names, "--quick")
+    code, lines, _ = run(capsys, *names)
     assert code == 0 and lines[-1] == "ALL CLEAN" and len(lines) == len(names or CAMPAIGNS) + 1
     assert pools == [size]
 
@@ -185,7 +194,7 @@ class _ClosedPipe:
 def test_a_closed_stdout_exits_one_without_an_error_line(capsys, monkeypatch, tmp_path):
     with open(tmp_path / "stdout", "w") as fh:
         monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno()))
-        code = main(["run", "shaved-witness", "sand-tightness", "--quick"])
+        code = main(["run", "shaved-witness", "sand-tightness"])
         # the descriptor now writes to devnull, so the exit flush cannot raise again
         assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
     assert code == 1 and capsys.readouterr().err == ""
@@ -199,7 +208,7 @@ def test_a_reader_that_leaves_stops_the_running_campaign(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _ClosedPipe(write_end))
     start = time.perf_counter()
     try:
-        code = main(["run", "lower-bound", "--quick"])
+        code = main(["run", "lower-bound"])
     finally:
         os.close(write_end)
     assert code == 1 and capsys.readouterr().err == ""

@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -10,7 +9,6 @@ from speedrobust.model import (
     Assignment,
     BagProfile,
     Infeasible,
-    InvalidAssignment,
     SizeLimit,
     SpeedProfile,
     makespan,
@@ -27,17 +25,7 @@ from speedrobust.second_stage import (
 )
 from speedrobust.verify import _partitions
 
-
-def naive_min_makespan(bags: BagProfile, speeds: SpeedProfile) -> Fraction:
-    best = None
-    for combo in itertools.product(range(len(speeds.speeds)), repeat=len(bags.sizes)):
-        try:
-            value = makespan(Assignment(combo), bags, speeds)
-        except InvalidAssignment:
-            continue
-        if best is None or value < best:
-            best = value
-    return best
+from test_model import brute_force_min_makespan
 
 
 # -- capacity greedy ------------------------------------------------------------
@@ -340,6 +328,7 @@ def reference_oracle(bags, speeds):
 )
 @example([3, 0, 0], [1, 1, 0])  # zero bags, and a speed-0 last machine
 @example([2, 2, 1], [3, 2, 0])
+@example([0, 0], [2, 1])  # no positive size: the search's warm start is its floor, 0
 def test_oracle_matches_its_remapping_front_door(sizes, speed_values):
     # zero sizes and speeds throughout: the sorted profiles' prefixes must stand in for the remap
     bags, speeds = BagProfile(sizes), SpeedProfile(speed_values)
@@ -363,7 +352,7 @@ def test_oracle_matches_naive_enumeration(seed):
     raw = [rng.randint(0, 9) for _ in range(m - 1)] + [rng.randint(1, 9)]
     speeds = SpeedProfile(raw)
     value, witness = optimal_second_stage(bags, speeds)
-    assert value == naive_min_makespan(bags, speeds)
+    assert value == brute_force_min_makespan(bags, speeds)
     assert makespan(witness, bags, speeds) == value
 
 

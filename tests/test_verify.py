@@ -146,10 +146,10 @@ def test_multi_cell_campaigns_tag_each_failure_with_its_cell(monkeypatch):
     # Shaved below the tight factor, no probe equals it: every cell fails its probe check.
     shaved = lambda m, b: sand_robustness(m, b) * Fraction(99, 100)  # noqa: E731
     monkeypatch.setattr(verify, "sand_robustness", shaved)
-    report = verify.CAMPAIGNS["lower-bound"].run(quick=True)
+    report = verify._lower_bound([(2, 2), (2, 3), (3, 3)])
     assert report.checked == 88
     assert [f["cell"] for f in report.failures] == [[2, 2], [2, 3], [3, 3]]
-    report = verify.CAMPAIGNS["sand-tightness"].run(quick=True)
+    report = verify._sand_tightness(4, 100, verify.CAMPAIGN_SEED)
     assert report.checked == 1_867
     probes = [f["cell"] for f in report.failures if f["kind"] == "probe"]
     assert probes == [[m, b] for m in range(2, 5) for b in range(1, 2 * m + 1)]
