@@ -11,11 +11,12 @@ the pebbles packing once jobs per machine exceed 60.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import truediv
 
-from .model import BagProfile, FractionalSolution, Infeasible
+from .model import BagProfile, FractionalSolution, Infeasible, SizeLimit
 from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
 from .pebbles import _pack
 from .sand import sand_robustness
@@ -275,7 +276,8 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     it is the greedy small-jobs packing at
     ``sand_robustness(machines, bags) + machines / jobs``: the unit jobs'
     running sums are ``range(jobs + 1)``, so :func:`pebbles._pack` packs
-    them in O(bags log jobs) steps rather than one step per job.
+    them in O(bags log jobs) steps rather than one step per job; ``bisect``
+    reads no range that long for ``jobs >= sys.maxsize``, which raise SizeLimit.
 
     With bags == machines the coin sizes reach the job count and the
     coin-paying assigner places them at 8/5 on every integral speed profile
@@ -289,6 +291,8 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
         solution = bricks_bags(jobs, machines, bags, BRICK_ROBUSTNESS)
         if solution.successful:
             return BagProfile(trim_to_total(solution, jobs).bag_sizes)
+    if jobs >= sys.maxsize:
+        raise SizeLimit(f"the pebbles packing takes jobs < sys.maxsize = {sys.maxsize}, got {jobs}")
     rho = sand_robustness(machines, bags) + Fraction(machines, jobs)
     ends = _pack(range(jobs + 1), machines, bags, rho)
     if ends[-1] < jobs:

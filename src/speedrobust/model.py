@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numerics import _refuse_string, _to_common_ints, exact_ints, exact_rational
+from .numerics import _refuse_string, exact_ints, exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -152,13 +152,11 @@ class FractionalSolution:
         for z, x in counts.items():
             exact_ints(1, cost=z)
             fx = exact_rational(x)
-            if fx.numerator < 0:  # the sign on the integer, not a Fraction comparison
+            if fx < 0:
                 raise ValueError(f"negative bag count for cost {z}: {fx}")
-            if fx.numerator:
+            if fx:
                 clean[z] = fx
-        # The budget test in integers: the counts and the budget over their common denominator.
-        *used, cap = _to_common_ints([*clean.values(), budget])[0]
-        if sum(used) > cap:
+        if sum(clean.values(), Fraction(0)) > budget:
             raise ValueError("bag counts exceed the bag budget")
         self.counts = clean
         self.bag_budget = budget

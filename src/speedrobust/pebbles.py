@@ -24,9 +24,13 @@ from .sand import sand_bags
 
 @dataclass(frozen=True)
 class PebblesResult:
-    """Outcome of a greedy packing run, reported in the caller's units."""
+    """Outcome of a greedy packing run, reported in the caller's units.
 
-    bag_of_job: dict[int, int]
+    Bag k holds ``job_sizes[bag_ends[k - 1]:bag_ends[k]]`` (from 0 for k = 0), so
+    job j sits in bag ``bisect_right(bag_ends, j)``; jobs from ``bag_ends[-1]`` on are unpacked.
+    """
+
+    bag_ends: tuple[int, ...]
     bag_sizes: tuple[Fraction, ...]
     packed_all: bool
 
@@ -87,12 +91,5 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     scaled, d = _to_common_ints(instance.job_sizes)
     prefix = list(accumulate(scaled, initial=0))
     ends = _pack(prefix, instance.machine_count, instance.bag_count, rho)
-    bag_of_job: dict[int, int] = {}
-    sizes = []
-    start = 0
-    for k, end in enumerate(ends):
-        for j in range(start, end):
-            bag_of_job[j] = k
-        sizes.append(Fraction(prefix[end] - prefix[start], d))
-        start = end
-    return PebblesResult(bag_of_job=bag_of_job, bag_sizes=tuple(sizes), packed_all=start == len(scaled))
+    sizes = tuple(Fraction(prefix[e] - prefix[s], d) for s, e in zip([0] + ends, ends))
+    return PebblesResult(bag_ends=tuple(ends), bag_sizes=sizes, packed_all=ends[-1] == len(scaled))

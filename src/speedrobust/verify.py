@@ -284,7 +284,7 @@ def verify_sand_upper(
              for k, config in enumerate(adversary_configs(machines, bags))]
     rng = random.Random(seed)
     for t in range(trials):
-        raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        raw = [0]
         while not any(raw):
             raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
         raw.sort(reverse=True)

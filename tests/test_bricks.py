@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from speedrobust import bricks
 from speedrobust.bricks import (
     _coin_levels,
     BRICK_ROBUSTNESS,
@@ -309,6 +310,24 @@ def test_dispatcher_profiles():
     assert [int(a) for a in robust_bags(45, 9, 9).sizes] == [8, 8, 6, 6, 4, 4, 4, 3, 2]
     assert [int(a) for a in robust_bags(5, 5, 5).sizes] == [1, 1, 1, 1, 1]
     assert robust_bags(45, 9, 9).total == 45
+
+
+def _shrink_sand_factor(monkeypatch):
+    # 9/10 of the divisible-load factor: the packing past the cutover can no longer place every job
+    exact = bricks.sand_robustness
+    monkeypatch.setattr(bricks, "sand_robustness", lambda m, b: exact(m, b) * Fraction(9, 10))
+
+
+@pytest.mark.parametrize("jobs,machines,bags", [(1000, 8, 8), (100, 1, 1), (244, 4, 4)])
+def test_dispatcher_refuses_a_packing_that_leaves_jobs(monkeypatch, jobs, machines, bags):
+    _shrink_sand_factor(monkeypatch)
+    with pytest.raises(Infeasible, match=f"jobs={jobs} machines={machines} bags={bags}"):
+        robust_bags(jobs, machines, bags)
+
+
+def test_dispatcher_coin_branch_ignores_the_sand_factor(monkeypatch):
+    _shrink_sand_factor(monkeypatch)
+    assert [int(a) for a in robust_bags(45, 9, 9).sizes] == [8, 8, 6, 6, 4, 4, 4, 3, 2]
 
 
 def test_dispatcher_switches_to_small_jobs_packing():

@@ -2,9 +2,11 @@ import csv
 import hashlib
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from speedrobust import bricks
 from speedrobust.cli import main
 
 
@@ -246,12 +248,51 @@ def test_float_literals_exit_two_with_the_reason(capsys, argv):
     "probe --m 2 --b 2 --bags 4,0,0",
     "probe --m 0 --b 2",
     "surplus --lam 1/0",
+    "tables --which f --zmax 200",
+    "tables --which surplus --lambda-max 200",
+    "tables --which breakpoints --lambda-max 200",
+    f"bags --mode auto --n {10**30} --m 8 --b 8",
 ])
 def test_edge_values_exit_cleanly(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert code in (0, 1, 2)
     assert ("error:" in err) == (code == 2)
     assert "Traceback" not in out + err
+
+
+@pytest.mark.parametrize("values,argv,expected", [
+    ([10**30, 1], "bags --mode pebbles --m 2 --b 2 --rho 2 --jobs", 0),
+    ([10**30, 1], "assign --algo optimal --speeds 1,1 --bags", 0),
+    ([1.5, 1], "bags --mode pebbles --m 2 --b 2 --rho 2 --jobs", 2),
+    ([1.5, 1], "assign --algo integral --bags 1 --speeds", 2),
+    ([True, 1], "bags --mode pebbles --m 2 --b 2 --rho 2 --jobs", 2),
+    ([True, 1], "assign --algo greedy --speeds 1 --bags", 2),
+    ([], "bags --mode pebbles --m 2 --b 2 --rho 2 --jobs", 2),
+    ([], "assign --algo integral --bags 1 --speeds", 2),
+    ([], "assign --algo greedy --speeds 1 --bags", 0),
+])
+def test_file_lists_exit_cleanly(tmp_path, capsys, values, argv, expected):
+    path = tmp_path / "values.json"
+    path.write_text(json.dumps(values))
+    code, out, err = run_cli(capsys, *argv.split(), f"@{path}")
+    assert code == expected
+    assert ("error:" in err) == (code == 2)
+    assert "Traceback" not in out + err
+
+
+def test_repeated_run_names_run_the_campaign_once(capsys):
+    code, out, err = run_cli(capsys, "run", "shaved-witness", "shaved-witness")
+    lines = out.splitlines()
+    assert code == 0 and err == ""
+    assert len(lines) == 2 and lines[0].startswith("shaved-witness ") and lines[1] == "ALL CLEAN"
+
+
+def test_auto_mode_reports_a_packing_that_leaves_jobs(monkeypatch, capsys):
+    exact = bricks.sand_robustness
+    monkeypatch.setattr(bricks, "sand_robustness", lambda m, b: exact(m, b) * Fraction(9, 10))
+    code, out, err = run_cli(capsys, "bags", "--mode", "auto", "--n", "1000", "--m", "8", "--b", "8")
+    assert code == 2 and "error: no construction packed jobs=1000" in err and out == ""
+    assert "Traceback" not in err
 
 
 def test_missing_jobs_file_is_a_usage_error(tmp_path, capsys):

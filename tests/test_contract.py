@@ -42,7 +42,7 @@ CONTRACT: dict[str, Entry] = {
     "BrickSolution": Entry(sr.BrickSolution, {"bag_sizes": (3, 2), "bag_costs": (2, 2), "total_size": 5,
                                               "successful": True, "jobs": 5, "rho": RHO}),
     "SurplusPoint": Entry(sr.SurplusPoint, {"lam": Fraction(1), "surplus": Fraction(0)}),
-    "PebblesResult": Entry(sr.PebblesResult, {"bag_of_job": {0: 0}, "bag_sizes": (Fraction(1),),
+    "PebblesResult": Entry(sr.PebblesResult, {"bag_ends": (1,), "bag_sizes": (Fraction(1),),
                                               "packed_all": True}),
     "GeometricSkeleton": Entry(sr.GeometricSkeleton, {"machines": 2, "bags": 2, "weights": (2, 1),
                                                       "scale": 4, "weight_total": 3}),

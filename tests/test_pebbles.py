@@ -1,12 +1,15 @@
 import random
+import sys
 import time
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import PEBBLES_CUTOVER, robust_bags
-from speedrobust.model import Instance, SpeedProfile
+from speedrobust.model import Instance, SizeLimit, SpeedProfile
 from speedrobust.pebbles import (
     PebblesResult, _pack, pebble_ratio, pebbles_bags, reference_sequence,
 )
@@ -21,23 +24,24 @@ def _fraction_loop_pebbles(instance: Instance, rho: Fraction) -> PebblesResult:
     scale = Fraction(m) / instance.total
     normalized = [p * scale for p in instance.job_sizes]
 
-    bag_of_job: dict[int, int] = {}
+    counts = [0] * b
     sizes = [Fraction(0)] * b
     prefix = Fraction(0)
     k = 0
-    for j, p in enumerate(normalized):
+    for p in normalized:
         while k < b and sizes[k] + p > rho - prefix / m:
             prefix += sizes[k]
             k += 1
         if k >= b:
             break
-        bag_of_job[j] = k
+        counts[k] += 1
         sizes[k] += p
 
+    ends = tuple(accumulate(counts))
     return PebblesResult(
-        bag_of_job=bag_of_job,
+        bag_ends=ends,
         bag_sizes=tuple(s / scale for s in sizes),
-        packed_all=len(bag_of_job) == len(normalized),
+        packed_all=ends[-1] == len(normalized),
     )
 
 
@@ -55,7 +59,7 @@ def test_packing_fills_greedily_at_generous_factor():
     result = pebbles_bags(instance, rho)
     assert result.packed_all
     assert result.bag_sizes == (3, 1)
-    assert result.bag_of_job == {0: 0, 1: 0, 2: 0, 3: 1}
+    assert result.bag_ends == (3, 4)
 
 
 def test_packing_single_job_single_bag():
@@ -70,7 +74,7 @@ def test_packing_reports_overflow():
     result = pebbles_bags(Instance([1, 1, 1], 2, 2), Fraction(1))
     assert not result.packed_all
     assert result.bag_sizes == (1, 1)
-    assert result.bag_of_job == {0: 0, 1: 1}
+    assert result.bag_ends == (1, 2)
 
 
 def test_exact_capacity_fit_is_placed():
@@ -80,7 +84,7 @@ def test_exact_capacity_fit_is_placed():
     result = pebbles_bags(instance, Fraction(3, 2))
     assert result.packed_all
     assert result.bag_sizes == (1, 1)
-    assert result.bag_of_job == {0: 0, 1: 1}
+    assert result.bag_ends == (1, 2)
 
 
 def test_reference_sequence_matches_divisible_load_sizes():
@@ -227,6 +231,27 @@ def test_dispatcher_past_cutover_packs_a_million_jobs_in_closed_form():
     # the sizes the one-job-at-a-time packing gave
     assert [int(a) for a in profile.sizes] == [
         190436, 166631, 145802, 127577, 111630, 97676, 85467, 74781]
+
+
+def test_dispatcher_past_cutover_packs_up_to_the_longest_range():
+    # bisect reads range(jobs + 1) only while its length fits a C ssize_t
+    profile = robust_bags(sys.maxsize - 1, 8, 8)
+    assert len(profile.sizes) == 8 and profile.total == sys.maxsize - 1
+    with pytest.raises(SizeLimit, match=f"sys.maxsize = {sys.maxsize}"):
+        robust_bags(sys.maxsize, 8, 8)
+    with pytest.raises(SizeLimit):
+        robust_bags(10**30, 8, 8)
+
+
+def test_bag_ends_partition_the_jobs():
+    for instance, rho in _kernel_cases():
+        result = pebbles_bags(instance, rho)
+        ends = result.bag_ends
+        assert len(ends) == instance.bag_count
+        for k, (s, e) in enumerate(zip((0,) + ends, ends)):
+            assert result.bag_sizes[k] == sum(instance.job_sizes[s:e], Fraction(0))
+            assert all(bisect_right(ends, j) == k for j in range(s, e))
+        assert result.packed_all == (ends[-1] == len(instance.job_sizes))
 
 
 def test_float_rho_is_refused():
