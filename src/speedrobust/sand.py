@@ -12,6 +12,7 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator
 
 from .model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
@@ -123,11 +124,15 @@ def _scaled_profile(machines: int, bags: int,
     """The checks of :func:`adversary_optima` and :func:`lower_bound_probe`, and the scaled profile.
 
     The oracle's size caps are checked before the skeleton is built.
-    ``profile`` defaults to the sand profile at the skeleton scale; it must
-    have ``bags`` sizes summing to the scale.  Returns the skeleton and the
-    positive sizes times their common denominator, with that denominator.
+    ``profile`` defaults to the sand profile at the skeleton scale; any other
+    value must be a ``BagProfile`` (ValueError otherwise) with ``bags`` sizes
+    summing to the scale.  Returns the skeleton and the positive sizes, in
+    non-increasing order, times their common denominator, with that
+    denominator.
     """
     exact_ints(1, machines=machines, bags=bags)
+    if profile is not None and not isinstance(profile, BagProfile):
+        raise ValueError(f"profile must be a BagProfile, got {type(profile).__name__}")
     _check_oracle_size(bags, machines)
     sk = geometric_skeleton(machines, bags)
     if profile is None:
@@ -148,7 +153,11 @@ def adversary_optima(machines: int, bags: int, profile: BagProfile | None = None
     its integer speeds directly.
     """
     sk, sizes, denom = _scaled_profile(machines, bags, profile)
-    return [_search_min_makespan(sizes, speeds)[0] / denom for speeds in _adversary_speeds(sk)]
+    optima = []
+    for speeds in _adversary_speeds(sk):
+        time, unit, _ = _search_min_makespan(sizes, speeds)
+        optima.append(Fraction(time, unit * denom))
+    return optima
 
 
 def lower_bound_probe(machines: int, bags: int, profile: BagProfile) -> Fraction:
@@ -161,17 +170,38 @@ def lower_bound_probe(machines: int, bags: int, profile: BagProfile) -> Fraction
     other profile it can only be larger.  Raises SizeLimit beyond the
     oracle's caps (16 bags, 8 machines).
 
-    Only the maximum is needed, so each configuration is searched only as far
-    as it can raise the running maximum M, kept as an integer pair.  Once
-    configuration k's search finds a leaf at or below M, that configuration
-    cannot raise the maximum and can stop.  If its optimum is above M, no
-    leaf is ever at or below M, so the search runs unchanged and returns the
-    exact optimum.
+    Only the maximum is needed, so the probe keeps a running maximum M as
+    an integer pair and never searches further than M requires:
+
+    1. M starts at the largest lower bound on some configuration's optimum:
+       the fluid bound total / scale, and for each configuration and each
+       j <= min(#sizes, machines) the prefix bound A_j / S_j, with A_j the
+       sum of the j largest sizes and S_j of the configuration's j fastest
+       speeds (the j largest bags sit on at most j machines, which carry at
+       least A_j on at most S_j of speed).
+    2. A configuration with total / speeds[0] <= M is skipped: every bag on
+       its fastest machine finishes by then, so its optimum is at most M.
+    3. Any other configuration is searched with M as the stop threshold (see
+       ``second_stage._search_min_makespan``): the search returns the exact
+       optimum when that is above M, and otherwise a makespan at or below M.
+
+    So M only ever takes a bound or an optimum, both at most the greatest
+    optimum, and after a configuration is skipped or searched M is at least
+    its optimum.  The result is the greatest optimum exactly.
     """
     sk, sizes, denom = _scaled_profile(machines, bags, profile)
-    top, unit = 0, 1
-    for speeds in _adversary_speeds(sk):
-        value = _search_min_makespan(sizes, speeds, (top, unit))[0]
-        if value.numerator * unit > top * value.denominator:
-            top, unit = value.numerator, value.denominator
+    configs = list(_adversary_speeds(sk))
+    total = sk.scale * denom
+    top, unit = denom, 1  # the fluid bound total / scale, since every configuration sums to the scale
+    prefixes = list(accumulate(sizes))
+    for speeds in configs:
+        for a, s in zip(prefixes, accumulate(speeds)):
+            if a * unit > top * s:
+                top, unit = a, s
+    for speeds in configs:
+        if total * unit <= top * speeds[0]:
+            continue
+        time, time_unit, _ = _search_min_makespan(sizes, speeds, (top, unit))
+        if time * unit > top * time_unit:
+            top, unit = time, time_unit
     return Fraction(top, unit * denom)

@@ -18,6 +18,9 @@ from .numerics import _to_common_ints, exact_factor, whole_numbers
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
+# The oracle's argument classes, held in a tuple: a profiler that rebinds a module's name for a
+# class to a timing wrapper leaves this check intact.
+_ORACLE_ARGS = (BagProfile, SpeedProfile)
 
 
 def _first_positive(speeds: Sequence[Fraction | int]) -> int:
@@ -149,16 +152,18 @@ def integral_assignment(
 
 
 def _search_min_makespan(sizes: list[int], speeds: list[int],
-                         stop: tuple[int, int] | None = None) -> tuple[Fraction, list[int]]:
+                         stop: tuple[int, int] | None = None) -> tuple[int, int, list[int]]:
     """Exact min makespan of positive integer sizes over positive integer speeds.
 
-    Times are integers in units of unit = lcm(speeds): a load on machine j
-    finishes at load * mult[j], mult[j] = unit // speeds[j].  Depth-first
-    over sizes in the given (non-increasing) order.  Machines in the same
-    residual state (time, speed) are interchangeable, so only the first of
-    them is branched on per step; a branch is cut when its finishing time
-    reaches the incumbent.  A leaf replaces the incumbent even when it only
-    ties it, so the witness is the last optimal leaf reached.
+    Returns (time, unit, owners): the makespan is time / unit, and the caller
+    builds the ``Fraction`` if it needs one.  Times are integers in units of
+    unit = lcm(speeds): a load on machine j finishes at load * mult[j],
+    mult[j] = unit // speeds[j].  Depth-first over sizes in the given
+    (non-increasing) order.  Machines in the same residual state (time,
+    speed) are interchangeable, so only the first of them is branched on per
+    step; a branch is cut when its finishing time reaches the incumbent.  A
+    leaf replaces the incumbent even when it only ties it, so the witness is
+    the last optimal leaf reached.
 
     Every makespan is at least floor = ceil(total * unit / sum(speeds)), so
     an incumbent at floor is optimal.  If the bound is exact the search stops
@@ -167,18 +172,19 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
 
     ``stop`` = (time, time_unit) is a threshold: the search also stops at the
     first incumbent at or below time / time_unit, and returns it.  Below the
-    optimum no incumbent ever is, and the search is the one without it.
+    optimum no incumbent ever is, and the search is the one without it.  The
+    per-size time steps and the machine symmetry table are built only when
+    the warm start has not already stopped the search.
     """
     m, n = len(speeds), len(sizes)
     unit = lcm(*speeds)
     mult = [unit // s for s in speeds]
-    steps = [[a * x for x in mult] for a in sizes]
 
     # Warm start: each item to the machine minimizing the resulting time.
     times = [0] * m
     warm = [0] * n
-    for k, step in enumerate(steps):
-        finishes = [t + x for t, x in zip(times, step)]
+    for k, a in enumerate(sizes):
+        finishes = [t + a * x for t, x in zip(times, mult)]
         i = finishes.index(min(finishes))
         times[i] = finishes[i]
         warm[k] = i
@@ -193,8 +199,9 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
     if limit >= floor:
         floor, exact = limit, True
     if best <= floor:
-        return Fraction(best, unit), best_owner
+        return best, unit, best_owner
 
+    steps = [[a * x for x in mult] for a in sizes]
     # Machine j with the earlier machines of its speed: j is skipped while one of them has its time.
     machines = [(j, [i for i in range(j) if speeds[i] == speeds[j]]) for j in range(m)]
     times = [0] * m
@@ -228,7 +235,7 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
             if best <= floor and (exact or current < best):
                 return
     dfs(0, 0)
-    return Fraction(best, unit), best_owner
+    return best, unit, best_owner
 
 
 def _check_oracle_size(bags: int, machines: int) -> None:
@@ -242,12 +249,16 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     """Exact minimum makespan over all assignments, with one optimal witness.
 
     Desk-scale only (at most 16 bags, 8 machines); raises SizeLimit beyond
-    that rather than degrading to an approximation.
+    that rather than degrading to an approximation.  Raises ValueError unless
+    ``bags`` is a BagProfile and ``speeds`` a SpeedProfile.
     """
+    for arg, kind in zip((bags, speeds), _ORACLE_ARGS):
+        if not isinstance(arg, kind):
+            raise ValueError(f"the oracle takes a {kind.__name__}, got {type(arg).__name__}")
     _check_oracle_size(len(bags.sizes), len(speeds.speeds))
     # Sorted profiles: the positive sizes and speeds are prefixes, so owners need no remap; 0 is live.
     active = [a for a in bags.sizes if a > 0]
     resting = [0] * (len(bags.sizes) - len(active))
     scaled, _ = _to_common_ints(active + [s for s in speeds.speeds if s > 0])
-    value, owners = _search_min_makespan(scaled[: len(active)], scaled[len(active):])
-    return value, Assignment(owners + resting)
+    time, unit, owners = _search_min_makespan(scaled[: len(active)], scaled[len(active):])
+    return Fraction(time, unit), Assignment(owners + resting)

@@ -22,6 +22,7 @@ import pytest
 
 import speedrobust as sr
 from speedrobust.numerics import decimal_string, exact_factor
+from speedrobust.sand import adversary_optima
 
 RHO = Fraction(8, 5)
 
@@ -212,13 +213,18 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.Assignment(bytearray(b"\x00\x00")),  # stored machines (0, 0)
     lambda: sr.Assignment({1: "a", 0: "b"}),  # stored machines (1, 0), the keys
     lambda: sr.makespan(sr.Assignment(b"\x00\x00"), sr.BagProfile([1, 1]), sr.SpeedProfile([1])),  # returned 2
+    lambda: sr.lower_bound_probe(2, 2, [2, 2]),  # raised AttributeError
+    lambda: adversary_optima(2, 2, [2, 2]),  # raised AttributeError
+    lambda: sr.optimal_second_stage([2, 1], sr.SpeedProfile([1])),  # raised AttributeError
+    lambda: sr.optimal_second_stage(sr.BagProfile([2, 1]), [1]),  # raised AttributeError
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
         "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
         "bags_string", "speeds_string", "instance_string", "integral_string", "bags_none",
         "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal", "bags_bytes",
         "speeds_bytearray", "bags_mapping", "integral_bytes", "assignment_bytes",
-        "assignment_bytearray", "assignment_mapping", "makespan_bytes"])
+        "assignment_bytearray", "assignment_mapping", "makespan_bytes", "probe_list",
+        "optima_list", "oracle_bag_list", "oracle_speed_list"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

@@ -184,9 +184,11 @@ def test_probe_equals_former_per_configuration_oracle(m, b, integral, seed):
     assert lower_bound_probe(m, b, profile) == max(expected)
 
 
-# The grids of the oracle-cert benchmark, 1,357 profiles: every one the early stop could get wrong.
+# The grids of the oracle-cert benchmark, 1,357 profiles, and three more of the lower-bound
+# campaign: every one the seeded bounds, the skip or the early stop could get wrong.
 @pytest.mark.parametrize("m, b, count", [(2, 2, 3), (2, 3, 10), (3, 3, 75), (2, 4, 64),
-                                         (2, 5, 831), (4, 3, 374)])
+                                         (2, 5, 831), (4, 3, 374), (5, 3, 1365), (3, 4, 4410),
+                                         (6, 3, 3997)])
 def test_probe_is_the_greatest_optimum_on_every_integer_profile(m, b, count):
     profiles = [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
     assert len(profiles) == count

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -26,6 +27,12 @@ from speedrobust.second_stage import (
 from speedrobust.verify import _partitions
 
 from test_model import brute_force_min_makespan
+
+
+def search(sizes, speeds, stop=None):
+    """The kernel's (time, unit, owners) as the (value, owners) pair it returned as a Fraction."""
+    time, unit, owners = _search_min_makespan(sizes, speeds, stop)
+    return Fraction(time, unit), owners
 
 
 # -- capacity greedy ------------------------------------------------------------
@@ -315,7 +322,7 @@ def reference_oracle(bags, speeds):
 
     scaled, _ = _to_common_ints(list(active) + [s for _, s in positive])
     int_sizes, int_speeds = scaled[: len(active)], scaled[len(active):]
-    value, owner_local = _search_min_makespan(int_sizes, int_speeds)
+    value, owner_local = search(int_sizes, int_speeds)
     for k, j in enumerate(owner_local):
         owners[k] = positive[j][0]
     return value, Assignment(owners)
@@ -446,7 +453,7 @@ def reference_search(sizes, speeds):
 def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, grain):
     sizes = sorted((a * factor for a in raw_sizes), reverse=True)
     speeds = sorted((1 + (s - 1) % grain for s in raw_speeds), reverse=True)
-    value, witness = _search_min_makespan(sizes, speeds)
+    value, witness = search(sizes, speeds)
     assert (value, witness) == reference_search(sizes, speeds)
     assert isinstance(value, Fraction)
 
@@ -466,17 +473,31 @@ def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, g
 def test_thresholded_search_is_the_plain_search_until_it_can_stop(raw_sizes, raw_speeds,
                                                                   from_first, shift, grain):
     sizes, speeds = sorted(raw_sizes, reverse=True), sorted(raw_speeds, reverse=True)
-    plain = _search_min_makespan(sizes, speeds)
+    plain = search(sizes, speeds)
     # Every makespan is at most sum(sizes), so that threshold returns the first incumbent.
-    first, _ = _search_min_makespan(sizes, speeds, (sum(sizes), 1))
+    first, _ = search(sizes, speeds, (sum(sizes), 1))
     anchor = first if from_first else plain[0]
     threshold = max(anchor + Fraction(shift, grain), Fraction(0))
-    value, witness = _search_min_makespan(sizes, speeds, (threshold.numerator, threshold.denominator))
+    value, witness = search(sizes, speeds, (threshold.numerator, threshold.denominator))
     if threshold < plain[0]:
         assert (value, witness) == plain
     else:
         assert value <= threshold
         assert makespan(Assignment(witness), BagProfile(sizes), SpeedProfile(speeds)) == value
+
+
+# The bounds lower_bound_probe settles configurations with: no makespan is below the fluid bound
+# or below a prefix bound A_j / S_j (the j largest sizes on the j fastest speeds), and every size
+# on the fastest machine is a makespan.
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 30), min_size=1, max_size=9),
+       st.lists(st.integers(1, 12), min_size=1, max_size=8))
+@example([5, 1], [3, 1])  # the prefix bound 5/3 is the optimum, above the fluid bound 3/2
+def test_search_lies_between_the_probe_bounds(raw_sizes, raw_speeds):
+    sizes, speeds = sorted(raw_sizes, reverse=True), sorted(raw_speeds, reverse=True)
+    value, _ = search(sizes, speeds)
+    prefix = max(Fraction(a, s) for a, s in zip(accumulate(sizes), accumulate(speeds)))
+    assert max(prefix, Fraction(sum(sizes), sum(speeds))) <= value <= Fraction(sum(sizes), speeds[0])
 
 
 def test_direct_optimum_known_values():
