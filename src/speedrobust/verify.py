@@ -15,6 +15,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heappush, heapreplace
+from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
@@ -108,11 +110,20 @@ def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[l
     the completions with every part at most the cap come last in walk order
     and stay together, with the cap as their ``bound``.  A subtree whose bags
     are all placed is counted, and one where a bag fails is listed.
+
+    The kernel always spends a largest cap, and spending any one of several
+    equal caps leaves the same multiset, so every verdict depends on the
+    multiset of chosen caps alone; they are kept as a heap of negated caps,
+    and failures list ``parts``, never caps.  A part p branched on is above
+    every chosen cap, so it is the new largest and pays bag k at once: the
+    child starts at bag k + 1 with the cap p - cost added, or, if p < cost,
+    its completions are listed as failures at the branch, in walk order.
     """
     costs = [c for c in costs if c]
     counts: dict[tuple[int, int, int], int] = {}
     checked = 0
     failing: list[list[int]] = []
+    parts: list[int] = []  # the chosen prefix, shared: appended before a child, popped after
 
     def count(rest: int, slots: int, cap: int) -> int:  # partitions of rest, <= slots parts <= cap
         # slots * cap >= rest always: the walk's bounds and the recursion's parts are >= ceil(rest / slots)
@@ -125,30 +136,42 @@ def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[l
             counts[key] = sum(count(rest - p, slots - 1, p) for p in range(low, cap + 1))
         return counts[key]
 
-    def walk(parts: list[int], caps: list[int], k: int, rest: int, bound: int) -> None:
+    def fail(rest: int, slots: int, bound: int) -> None:  # list every completion of parts
         nonlocal checked
-        slots = machines - len(parts)
+        before = len(failing)
+        failing.extend(parts + list(tail) + [0] * (slots - len(tail))
+                       for tail in _partitions(rest, slots, bound))
+        checked += len(failing) - before
+
+    def walk(caps: list[int], k: int, rest: int, bound: int, slots: int) -> None:
+        nonlocal checked
         while k < len(costs):
-            top = max(caps) if caps else 0
+            top = -caps[0] if caps else 0
+            cost = costs[k]
             if top < bound:
                 low = -(-rest // slots)  # the least next part that leaves room for the rest
                 for p in range(bound, max(top, low - 1), -1):
-                    walk(parts + [p], caps + [p], k, rest - p, min(p, rest - p))
+                    parts.append(p)
+                    left = rest - p
+                    if p < cost:
+                        fail(left, slots - 1, min(p, left))
+                    else:
+                        c2 = caps.copy()
+                        heappush(c2, cost - p)
+                        walk(c2, k + 1, left, min(p, left), slots - 1)
+                    parts.pop()
                 if top < low:
                     return
                 bound = top
-            elif top < costs[k]:
-                before = len(failing)
-                failing.extend(parts + list(tail) + [0] * (slots - len(tail))
-                               for tail in _partitions(rest, slots, bound))
-                checked += len(failing) - before
+            elif top < cost:
+                fail(rest, slots, bound)
                 return
             else:
-                caps[caps.index(top)] = top - costs[k]
+                heapreplace(caps, cost - top)
                 k += 1
         checked += count(rest, slots, bound)
 
-    walk([], [], 0, total, total)
+    walk([], 0, total, total, machines)
     return checked, failing
 
 
@@ -173,8 +196,8 @@ def partition_count(total: int, max_parts: int) -> int:
     exact_ints(total=total, max_parts=max_parts)
     row = [1] + [0] * total
     for k in range(1, min(max_parts, total) + 1):
-        for n in range(k, total + 1):
-            row[n] += row[n - k]
+        for r in range(k):  # row[n] += row[n - k] for n >= k is a running sum over each residue mod k
+            row[r::k] = accumulate(row[r::k])
     return row[total] if total >= 0 else 0
 
 

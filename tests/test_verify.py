@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_totals, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
@@ -230,7 +230,9 @@ def _kernel_on_every_partition(costs, total, machines):
 
 @settings(max_examples=500, deadline=None)
 @given(costs=st.lists(st.integers(0, 8), max_size=8), total=st.integers(1, 24),
-       machines=st.integers(1, 6))
+       machines=st.integers(1, 10))
+@example(costs=[3], total=3, machines=1)  # the first part pays the first cost exactly
+@example(costs=[4, 1], total=4, machines=2)  # the first part is one below the first cost
 def test_coin_walk_matches_the_kernel_on_every_partition(costs, total, machines):
     # any cost order, zeros anywhere: the walk must not lean on the dispatcher's sorted costs
     assert _coin_walk(costs, total, machines) == _kernel_on_every_partition(costs, total, machines)
@@ -310,6 +312,20 @@ def test_robustness_campaign_gate_grids_stay_exhaustive():
     assert all(partition_count(n, m) <= EXHAUSTIVE_PROFILES
                for n in range(1, 41) for m in range(1, 9))
     assert verify_bricks_robustness(40, 8).grid["mode"] == "exhaustive"
+
+
+def test_partition_count_matches_the_table_loop():
+    # The loop partition_count ran before its running sums over residues;
+    # the row after pass k holds p(n, <= k) for every n <= 200.
+    row = [1] + [0] * 200
+    by_parts = [row[:]]
+    for k in range(1, 201):
+        for n in range(k, 201):
+            row[n] += row[n - k]
+        by_parts.append(row[:])
+    cells = {(n, m) for n in range(201) for m in (0, 1, 2, 3, 7, 40, 200)}
+    cells |= {(n, m) for n in (0, 1, 2, 3, 40, 200) for m in range(201)}
+    assert all(partition_count(n, m) == by_parts[m][n] for n, m in cells)
 
 
 def test_partition_counts_leave_no_module_memo():
