@@ -30,7 +30,7 @@ from .model import (
     makespan,
 )
 from .numerics import ceil_div, floor_scale, format_rational, parse_rational
-from .pebbles import PebblesResult, pebble_ratio, pebbles_bags, reference_sequence
+from .pebbles import PebblesResult, pebble_ratio, pebbles_bags
 from .sand import (
     GeometricSkeleton,
     adversary_configs,

@@ -259,7 +259,7 @@ def surplus_breakpoints(lambda_max: Fraction) -> list[SurplusPoint]:
         solution = bricks_fractional(lam, Fraction(1), Fraction(1))
         points.append(SurplusPoint(lam, solution_size(solution, BRICK_ROBUSTNESS) - lam, dropped))
         next_integer = lam.numerator // lam.denominator + 1
-        lowest = solution.min_cost()
+        lowest = min(solution.counts)
         drop_at = lam + solution.counts[lowest] * next_integer
         if drop_at < next_integer:
             lam, dropped = drop_at, lowest

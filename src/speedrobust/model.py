@@ -173,20 +173,6 @@ class FractionalSolution:
         solution.bag_budget = bag_budget
         return solution
 
-    @property
-    def total_bags(self) -> Fraction:
-        return sum(self.counts.values(), Fraction(0))
-
-    @property
-    def total_cost(self) -> Fraction:
-        return sum((x * z for z, x in self.counts.items()), Fraction(0))
-
-    def min_cost(self) -> int:
-        return min(self.counts)
-
-    def max_cost(self) -> int:
-        return max(self.counts)
-
 
 def makespan(assignment: Assignment, bags: BagProfile, speeds: SpeedProfile) -> Fraction:
     """Largest machine completion time (assigned size over speed) of an assignment.

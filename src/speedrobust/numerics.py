@@ -146,7 +146,8 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def decimal_string(value: Fraction, places: int) -> str:
-    """Round-half-up decimal rendering of an exact rational; floats and booleans are refused."""
+    """Round-half-up rendering of an exact rational to ``places`` >= 0 digits; floats and booleans are refused."""
+    exact_ints(0, places=places)
     value = exact_rational(value)
     sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places

@@ -19,7 +19,6 @@ from itertools import accumulate
 
 from .model import Instance
 from .numerics import _to_common_ints, exact_factor
-from .sand import sand_bags
 
 
 @dataclass(frozen=True)
@@ -38,17 +37,6 @@ class PebblesResult:
 def pebble_ratio(instance: Instance) -> Fraction:
     """Largest job relative to the average machine load (the q of a q-pebbles instance)."""
     return max(instance.job_sizes) * instance.machine_count / instance.total
-
-
-def reference_sequence(machines: int, bags: int) -> tuple[Fraction, ...]:
-    """Bag sizes of the divisible-load optimum, normalized to total ``machines``.
-
-    They satisfy a_k = rho - (1/machines) * sum(a_1..a_{k-1}) with rho the
-    tight divisible-load robustness factor; the packing bound holds with
-    equality on this sequence, and its partial sums are the floor that any
-    successful greedy packing must dominate.
-    """
-    return sand_bags(machines, bags, machines).sizes
 
 
 def _pack(prefix: Sequence[int], machines: int, bags: int, rho: Fraction) -> list[int]:

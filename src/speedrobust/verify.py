@@ -192,13 +192,13 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
 
 
 def partition_count(total: int, max_parts: int) -> int:
-    """Partitions of ``total`` into at most ``max_parts`` parts: p(n, k) = p(n, k-1) + p(n-k, k)."""
+    """Partitions of ``total`` into at most ``max_parts`` parts (0 if either is negative)."""
     exact_ints(total=total, max_parts=max_parts)
     row = [1] + [0] * total
     for k in range(1, min(max_parts, total) + 1):
         for r in range(k):  # row[n] += row[n - k] for n >= k is a running sum over each residue mod k
             row[r::k] = accumulate(row[r::k])
-    return row[total] if total >= 0 else 0
+    return row[total] if min(total, max_parts) >= 0 else 0
 
 
 # -- campaign: coin construction reaches total size n --------------------------

@@ -20,8 +20,8 @@ from speedrobust.bricks import (
     transformation_factor,
 )
 from speedrobust.model import Assignment, BagProfile, Instance, InvalidAssignment, SpeedProfile, makespan
-from speedrobust.pebbles import pebble_ratio, pebbles_bags, reference_sequence
-from speedrobust.sand import sand_robustness
+from speedrobust.pebbles import pebble_ratio, pebbles_bags
+from speedrobust.sand import sand_bags, sand_robustness
 from speedrobust.second_stage import optimal_second_stage
 from speedrobust.verify import CAMPAIGNS
 
@@ -176,7 +176,7 @@ def test_criterion_08_small_jobs_packing_suite():
         result = pebbles_bags(instance, sand_robustness(m, b) + q)
         ok = ok and result.packed_all
 
-        reference = reference_sequence(m, b)
+        reference = sand_bags(m, b, m).sizes
         normalizer = Fraction(m) / instance.total
         packed_prefix = Fraction(0)
         reference_prefix = Fraction(0)

@@ -182,7 +182,7 @@ def test_fractional_scales_pointwise(n, m, alpha):
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=15))
 def test_fractional_interior_counts(n, m):
     sol = bricks_fractional(n, m, m)
-    lo, hi = sol.min_cost(), sol.max_cost()
+    lo, hi = min(sol.counts), max(sol.counts)
     for z, x in sol.counts.items():
         if lo < z < hi:
             assert x == Fraction(m, z)
@@ -192,9 +192,10 @@ def test_fractional_interior_counts(n, m):
 @given(st.integers(min_value=1, max_value=400), st.integers(min_value=1, max_value=15))
 def test_fractional_cost_budget(n, m):
     sol = bricks_fractional(n, m, m)
-    assert sol.total_cost <= n
-    if sol.total_bags < m:  # ran out of coins, not bags
-        assert sol.total_cost == n
+    paid = sum(z * x for z, x in sol.counts.items())
+    assert paid <= n
+    if sum(sol.counts.values()) < m:  # ran out of coins, not bags
+        assert paid == n
 
 
 def test_solution_size_known_values():

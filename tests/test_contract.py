@@ -1,13 +1,15 @@
 """The argument contract of every public callable: bad counts and factors raise ``ValueError``.
 
-``CONTRACT`` has one entry per callable in ``speedrobust.__all__``: keyword
-arguments that make a valid call, the count arguments with the least value
-each accepts (None for any ``int``), and the factor arguments with theirs
-(None for any positive rational).  Each count and each factor is replaced in
-turn by values of the wrong type or out of range, and the call must raise
-``ValueError`` or a subclass of it.  A replacement in range must give a
-result or one of those errors, never another exception.  Huge sizes are out
-of scope: without ``SizeLimit`` guards some calls would not end.
+``CONTRACT`` has one entry per callable in ``speedrobust.__all__``, and one
+for each callable outside it that the CLI calls and README documents
+(``CLI_CALLABLES``): keyword arguments that make a valid call, the count
+arguments with the least value each accepts (None for any ``int``), and the
+factor arguments with theirs (None for any positive rational).  Each count
+and each factor is replaced in turn by values of the wrong type or out of
+range, and the call must raise ``ValueError`` or a subclass of it.  A
+replacement in range must give a result or one of those errors, never
+another exception.  Huge sizes are out of scope: without ``SizeLimit``
+guards some calls would not end.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ CONTRACT: dict[str, Entry] = {
     "SizeLimit": Entry(sr.SizeLimit, {}),
     "format_rational": Entry(sr.format_rational, {"value": Fraction(3, 2)}),
     "parse_rational": Entry(sr.parse_rational, {"text": "3/2"}),
+    "decimal_string": Entry(decimal_string, {"value": Fraction(3, 2), "places": 3}, {"places": 0}),
     "makespan": Entry(sr.makespan, {"assignment": sr.Assignment([0, 1]),
                                     "bags": sr.BagProfile([2, 1]), "speeds": sr.SpeedProfile([2, 1])}),
     "optimal_second_stage": Entry(sr.optimal_second_stage, {"bags": sr.BagProfile([2, 1]),
@@ -75,8 +78,8 @@ CONTRACT: dict[str, Entry] = {
                                {"machines": 1, "bags": 1}),
     "sand_bags": Entry(sr.sand_bags, {"machines": 2, "bags": 3, "total": 7},
                        {"machines": 1, "bags": 1}, {"total": None}),
-    "reference_sequence": Entry(sr.reference_sequence, {"machines": 2, "bags": 3},
-                                {"machines": 1, "bags": 1}),
+    "adversary_optima": Entry(adversary_optima, {"machines": 2, "bags": 3},
+                              {"machines": 1, "bags": 1}),
     "lower_bound_probe": Entry(sr.lower_bound_probe,
                                {"machines": 2, "bags": 2, "profile": sr.sand_bags(2, 2, 4)},
                                {"machines": 1, "bags": 1}),
@@ -125,6 +128,8 @@ CONTRACT: dict[str, Entry] = {
                                {"machines": 1, "bags": 1, "trials": 0, "seed": None}),
 }
 
+CLI_CALLABLES = {"adversary_optima", "decimal_string"}
+
 COUNT_SWAPS = [True, 2.0, Fraction(3, 2), "2", 0, -1]
 FACTOR_SWAPS = [1.6, 0.5, True, False, 0, -1, Fraction(1, 2)]
 
@@ -135,7 +140,7 @@ def _public_callables() -> set[str]:
 
 
 def test_every_public_callable_has_an_entry():
-    assert set(CONTRACT) == _public_callables()
+    assert set(CONTRACT) == _public_callables() | CLI_CALLABLES
 
 
 def test_star_import_binds_no_submodule():

@@ -127,9 +127,9 @@ def test_profiles_refuse_floats(build):
 
 def test_fractional_solution_validation():
     sol = FractionalSolution({2: Fraction(3, 2), 1: Fraction(1, 2)}, 2)
-    assert sol.total_bags == 2
-    assert sol.total_cost == Fraction(7, 2)
-    assert sol.min_cost() == 1 and sol.max_cost() == 2
+    assert sum(sol.counts.values()) == sol.bag_budget == 2
+    assert sum(z * x for z, x in sol.counts.items()) == Fraction(7, 2)
+    assert min(sol.counts) == 1 and max(sol.counts) == 2
     with pytest.raises(ValueError):
         FractionalSolution({0: 1}, 1)
     with pytest.raises(ValueError):
@@ -141,8 +141,8 @@ def test_fractional_solution_validation():
 def test_fractional_solution_budget_is_exact():
     counts = {3: Fraction(1, 3), 2: Fraction(5, 7), 1: Fraction(2, 11)}
     budget = sum(counts.values(), Fraction(0))
-    assert FractionalSolution(counts, budget).total_bags == budget
-    assert FractionalSolution({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1).total_bags == 1
+    assert sum(FractionalSolution(counts, budget).counts.values()) == budget
+    assert sum(FractionalSolution({1: Fraction(1, 2), 2: Fraction(1, 2)}, 1).counts.values()) == 1
     over = {**counts, 4: Fraction(1, 10**12)}
     with pytest.raises(ValueError, match="exceed the bag budget"):
         FractionalSolution(over, budget)

@@ -10,9 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from speedrobust.bricks import PEBBLES_CUTOVER, robust_bags
 from speedrobust.model import Instance, SizeLimit, SpeedProfile
-from speedrobust.pebbles import (
-    PebblesResult, _pack, pebble_ratio, pebbles_bags, reference_sequence,
-)
+from speedrobust.pebbles import PebblesResult, _pack, pebble_ratio, pebbles_bags
 from speedrobust.sand import sand_bags, sand_robustness
 from speedrobust.second_stage import greedy_assignment
 from speedrobust.model import BagProfile
@@ -87,12 +85,6 @@ def test_exact_capacity_fit_is_placed():
     assert result.bag_ends == (1, 2)
 
 
-def test_reference_sequence_matches_divisible_load_sizes():
-    for m in range(1, 6):
-        for b in range(1, 2 * m + 1):
-            assert reference_sequence(m, b) == sand_bags(m, b, m).sizes
-
-
 def _random_small_jobs_instance(rng: random.Random):
     q = Fraction(rng.randint(5, 100), 100)
     m = rng.randint(2, 8)
@@ -117,8 +109,9 @@ def test_random_instances_pack_and_dominate_reference(seed):
     result = pebbles_bags(instance, rho)
     assert result.packed_all
 
-    # prefix sums of the packed bags dominate the reference sequence at every k
-    reference = reference_sequence(m, b)
+    # prefix sums of the packed bags dominate, at every k, the divisible-load bag sizes
+    # at total m, on which the packing bound holds with equality
+    reference = sand_bags(m, b, m).sizes
     normalizer = Fraction(m) / instance.total
     packed_prefix = Fraction(0)
     reference_prefix = Fraction(0)

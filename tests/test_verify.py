@@ -328,6 +328,13 @@ def test_partition_count_matches_the_table_loop():
     assert all(partition_count(n, m) == by_parts[m][n] for n, m in cells)
 
 
+def test_partition_count_has_no_partition_into_negative_parts():
+    # partition_count(0, -1) returned 1: the empty partition has 0 parts, not at most -1
+    assert partition_count(0, -1) == 0
+    assert partition_count(0, 0) == 1
+    assert partition_count(5, -1) == 0
+
+
 def test_partition_counts_leave_no_module_memo():
     assert partition_count(200, 10) > EXHAUSTIVE_PROFILES
     assert partition_count(100, 12) > EXHAUSTIVE_PROFILES
