@@ -59,10 +59,6 @@ class Instance:
         object.__setattr__(self, "machine_count", machine_count)
         object.__setattr__(self, "bag_count", bag_count)
 
-    @property
-    def total(self) -> Fraction:
-        return sum(self.job_sizes, Fraction(0))
-
 
 @dataclass(frozen=True)
 class BagProfile:
@@ -83,10 +79,6 @@ class BagProfile:
         profile = object.__new__(cls)
         object.__setattr__(profile, "sizes", sizes)
         return profile
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.sizes, Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,6 @@ class SpeedProfile:
         profile = object.__new__(cls)
         object.__setattr__(profile, "speeds", speeds)
         return profile
-
-    @property
-    def total(self) -> Fraction:
-        return sum(self.speeds, Fraction(0))
 
 
 @dataclass(frozen=True)

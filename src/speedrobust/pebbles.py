@@ -36,7 +36,7 @@ class PebblesResult:
 
 def pebble_ratio(instance: Instance) -> Fraction:
     """Largest job relative to the average machine load (the q of a q-pebbles instance)."""
-    return max(instance.job_sizes) * instance.machine_count / instance.total
+    return max(instance.job_sizes) * instance.machine_count / sum(instance.job_sizes)
 
 
 def _pack(prefix: Sequence[int], machines: int, bags: int, rho: Fraction) -> list[int]:

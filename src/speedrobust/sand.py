@@ -70,11 +70,14 @@ def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
 def sand_robustness(machines: int, bags: int) -> Fraction:
     """Tight robustness factor for divisible load: scale over weight_total.
 
-    Equals 1 for a single machine, never exceeds ``machines``, and for
-    bags == machines increases toward e/(e-1) as machines grows.
+    That is m**b / (m**b - (m - 1)**b), computed without the skeleton's
+    weights.  Equals 1 for a single machine, never exceeds ``machines``, and
+    for bags == machines increases toward e/(e-1) as machines grows.
     """
-    sk = geometric_skeleton(machines, bags)
-    return Fraction(sk.scale, sk.weight_total)
+    exact_ints(1, machines=machines, bags=bags)
+    _check_printable_scale(machines, bags)
+    scale = machines**bags
+    return Fraction(scale, scale - (machines - 1) ** bags)
 
 
 def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:

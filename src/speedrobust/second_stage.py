@@ -161,18 +161,16 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
     mult[j] = unit // speeds[j].  Depth-first over sizes in the given
     (non-increasing) order.  Machines in the same residual state (time,
     speed) are interchangeable, so only the first of them is branched on per
-    step; a branch is cut when its finishing time reaches the incumbent.  A
-    leaf replaces the incumbent even when it only ties it, so the witness is
-    the last optimal leaf reached.
+    step; a branch is cut when its finishing time reaches the incumbent, and
+    a node returns once the incumbent falls to its own time, since below it
+    only ties remain.  So every leaf reached beats the incumbent, and the
+    witness is the first optimal leaf, not one chosen among ties.
 
-    Every makespan is at least floor = ceil(total * unit / sum(speeds)), so
-    an incumbent at floor is optimal.  If the bound is exact the search stops
-    there; otherwise only branches already at the incumbent go on, since
-    only they can reach a (tying) leaf.
-
-    ``stop`` = (time, time_unit) is a threshold: the search also stops at the
-    first incumbent at or below time / time_unit, and returns it.  Below the
-    optimum no incumbent ever is, and the search is the one without it.  The
+    The search stops at the first incumbent at or below one integer bound:
+    floor = ceil(total * unit / sum(speeds)), under which no makespan is,
+    raised to the greatest integer time at or below time / time_unit when a
+    threshold ``stop`` = (time, time_unit) is given.  Below the optimum the
+    threshold stops nothing, and the search is the one without it.  The
     per-size time steps and the machine symmetry table are built only when
     the warm start has not already stopped the search.
     """
@@ -190,14 +188,9 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
         warm[k] = i
     best = max(times)
     best_owner = warm
-    floor, rest = divmod(sum(sizes) * unit, sum(speeds))
-    exact = not rest
-    floor += not exact
-    # The greatest integer time at or below the threshold; -1 stops nothing.  No incumbent is
-    # below the floor, so a limit at or above it stops the search as an exact floor does.
-    limit = -1 if stop is None else stop[0] * unit // stop[1]
-    if limit >= floor:
-        floor, exact = limit, True
+    floor = -(-sum(sizes) * unit // sum(speeds))
+    if stop is not None:
+        floor = max(floor, stop[0] * unit // stop[1])
     if best <= floor:
         return best, unit, best_owner
 
@@ -232,7 +225,7 @@ def _search_min_makespan(sizes: list[int], speeds: list[int],
             owner[k] = j
             dfs(k + 1, finish if finish > current else current)
             times[j] -= step[j]
-            if best <= floor and (exact or current < best):
+            if best <= floor or current >= best:
                 return
     dfs(0, 0)
     return best, unit, best_owner
@@ -248,9 +241,10 @@ def _check_oracle_size(bags: int, machines: int) -> None:
 def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fraction, Assignment]:
     """Exact minimum makespan over all assignments, with one optimal witness.
 
-    Desk-scale only (at most 16 bags, 8 machines); raises SizeLimit beyond
-    that rather than degrading to an approximation.  Raises ValueError unless
-    ``bags`` is a BagProfile and ``speeds`` a SpeedProfile.
+    The witness attains the value; which optimal assignment it is, is not
+    specified.  Desk-scale only (at most 16 bags, 8 machines); raises
+    SizeLimit beyond that rather than degrading to an approximation.  Raises
+    ValueError unless ``bags`` is a BagProfile and ``speeds`` a SpeedProfile.
     """
     for arg, kind in zip((bags, speeds), _ORACLE_ARGS):
         if not isinstance(arg, kind):

@@ -177,7 +177,7 @@ def test_criterion_08_small_jobs_packing_suite():
         ok = ok and result.packed_all
 
         reference = sand_bags(m, b, m).sizes
-        normalizer = Fraction(m) / instance.total
+        normalizer = Fraction(m) / sum(instance.job_sizes)
         packed_prefix = Fraction(0)
         reference_prefix = Fraction(0)
         for k in range(b):

@@ -310,7 +310,7 @@ def test_surplus_lower_bounds_over_range():
 def test_dispatcher_profiles():
     assert [int(a) for a in robust_bags(45, 9, 9).sizes] == [8, 8, 6, 6, 4, 4, 4, 3, 2]
     assert [int(a) for a in robust_bags(5, 5, 5).sizes] == [1, 1, 1, 1, 1]
-    assert robust_bags(45, 9, 9).total == 45
+    assert sum(robust_bags(45, 9, 9).sizes) == 45
 
 
 def _shrink_sand_factor(monkeypatch):
@@ -337,7 +337,7 @@ def test_dispatcher_switches_to_small_jobs_packing():
     rho_pebbles = sand_robustness(2, 2) + Fraction(2, 122)
     assert rho_pebbles < BRICK_ROBUSTNESS
     profile = robust_bags(122, 2, 2)
-    assert profile.total == 122
+    assert sum(profile.sizes) == 122
     assert all(a.denominator == 1 for a in profile.sizes)
     # at the cutover ratio itself the coin construction is still used
     at_cutover = robust_bags(60, 1, 1)
@@ -347,7 +347,7 @@ def test_dispatcher_switches_to_small_jobs_packing():
 def test_dispatcher_large_case_stays_under_target():
     assert sand_robustness(1000, 1000) + Fraction(1, 61) < BRICK_ROBUSTNESS
     profile = robust_bags(61 * 1000, 1000, 1000)
-    assert profile.total == 61 * 1000
+    assert sum(profile.sizes) == 61 * 1000
 
 
 def test_dispatcher_with_fewer_bags_is_not_eight_fifths():

@@ -19,7 +19,7 @@ from speedrobust.model import BagProfile
 def _fraction_loop_pebbles(instance: Instance, rho: Fraction) -> PebblesResult:
     """The former Fraction loop of ``pebbles_bags``, the reference for its integer kernel."""
     m, b = instance.machine_count, instance.bag_count
-    scale = Fraction(m) / instance.total
+    scale = Fraction(m) / sum(instance.job_sizes)
     normalized = [p * scale for p in instance.job_sizes]
 
     counts = [0] * b
@@ -112,7 +112,7 @@ def test_random_instances_pack_and_dominate_reference(seed):
     # prefix sums of the packed bags dominate, at every k, the divisible-load bag sizes
     # at total m, on which the packing bound holds with equality
     reference = sand_bags(m, b, m).sizes
-    normalizer = Fraction(m) / instance.total
+    normalizer = Fraction(m) / sum(instance.job_sizes)
     packed_prefix = Fraction(0)
     reference_prefix = Fraction(0)
     for k in range(b):
@@ -131,7 +131,7 @@ def test_packed_bags_survive_greedy_assignment(seed):
     result = pebbles_bags(instance, rho)
     assert result.packed_all
     bags = BagProfile(result.bag_sizes)
-    total = instance.total
+    total = sum(instance.job_sizes)
     for _ in range(10):
         raw = [rng.randint(0, 40) for _ in range(m)]
         if not any(raw):
@@ -229,7 +229,7 @@ def test_dispatcher_past_cutover_packs_a_million_jobs_in_closed_form():
 def test_dispatcher_past_cutover_packs_up_to_the_longest_range():
     # bisect reads range(jobs + 1) only while its length fits a C ssize_t
     profile = robust_bags(sys.maxsize - 1, 8, 8)
-    assert len(profile.sizes) == 8 and profile.total == sys.maxsize - 1
+    assert len(profile.sizes) == 8 and sum(profile.sizes) == sys.maxsize - 1
     with pytest.raises(SizeLimit, match=f"sys.maxsize = {sys.maxsize}"):
         robust_bags(sys.maxsize, 8, 8)
     with pytest.raises(SizeLimit):

@@ -47,6 +47,20 @@ def test_robustness_factor_increasing_and_below_limit():
     assert all(1 <= sand_robustness(m, b) <= m for m in range(1, 8) for b in range(1, 8))
 
 
+def test_robustness_factor_is_the_skeleton_ratio():
+    for m in range(1, 7):
+        for b in range(1, 13):
+            sk = geometric_skeleton(m, b)
+            assert sand_robustness(m, b) == Fraction(sk.scale, sk.weight_total)
+
+
+def test_robustness_factor_of_one_machine_builds_no_weights():
+    # a single machine's scale is 1 for any bag count, so no size check stops a list of b weights
+    assert sand_robustness(1, 10**18) == 1
+    with pytest.raises(SizeLimit):
+        sand_robustness(2, 10**9)
+
+
 def test_sand_bags_known_profiles():
     assert [int(a) for a in sand_bags(2, 4, 15).sizes] == [8, 4, 2, 1]
     assert [int(a) for a in sand_bags(2, 4, 30).sizes] == [16, 8, 4, 2]
@@ -76,7 +90,7 @@ def test_skeleton_and_sizes_match_the_closed_forms():
 )
 def test_sand_bags_sum_to_total_and_sorted(m, b, total):
     profile = sand_bags(m, b, total)
-    assert profile.total == total
+    assert sum(profile.sizes) == total
     assert all(profile.sizes[i] >= profile.sizes[i + 1] for i in range(b - 1))
 
 
@@ -118,7 +132,7 @@ def test_adversary_configs_sum_to_scale(m, b):
     configs = adversary_configs(m, b)
     assert len(configs) == b
     for k, config in enumerate(configs):
-        assert config.total == sk.scale
+        assert sum(config.speeds) == sk.scale
         assert config.speeds[0] >= sk.weights[k]
 
 

@@ -446,16 +446,18 @@ def reference_search(sizes, speeds):
     st.lists(st.integers(1, 9), min_size=1, max_size=5),
     st.sampled_from([9, 3, 2]),
 )
-# An incumbent at ceil(total * unit / sum(speeds)) is optimal here, and the
-# former search still replaced its witness with a later tying leaf.
+# An incumbent at ceil(total * unit / sum(speeds)) is optimal here.
 @example([12, 12, 4, 4, 4, 3, 2, 2], 1, [9, 3, 2], 9)
 @example([1, 1, 1, 1], 6, [4], 9)
+@example([4, 4, 3, 3, 3, 1], 1, [1, 1], 9)  # the optimum 9 is the floor; one above it stops at 10
+@example([11, 8, 7, 5], 1, [7, 6, 6], 9)  # the optimum 11/6 lies one time unit below 13/7
 def test_integer_search_matches_fraction_search(raw_sizes, factor, raw_speeds, grain):
     sizes = sorted((a * factor for a in raw_sizes), reverse=True)
     speeds = sorted((1 + (s - 1) % grain for s in raw_speeds), reverse=True)
     value, witness = search(sizes, speeds)
-    assert (value, witness) == reference_search(sizes, speeds)
+    assert value == reference_search(sizes, speeds)[0]
     assert isinstance(value, Fraction)
+    assert makespan(Assignment(witness), BagProfile(sizes), SpeedProfile(speeds)) == value
 
 
 # Thresholds on both sides of the optimum and of the first incumbent, at them, and off the
