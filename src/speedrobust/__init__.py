@@ -15,7 +15,6 @@ from .bricks import (
     solution_size,
     surplus_breakpoints,
     transformation_factor,
-    trim_to_total,
 )
 from .model import (
     Assignment,

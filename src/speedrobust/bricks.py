@@ -14,13 +14,13 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from operator import truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible, SizeLimit
 from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
 from .pebbles import _pack
 from .sand import sand_robustness
-from .second_stage import _coin_costs
 
 BRICK_ROBUSTNESS = Fraction(8, 5)
 
@@ -29,18 +29,16 @@ PEBBLES_CUTOVER = 60  # jobs-per-machine ratio above which the dispatcher switch
 
 @dataclass(frozen=True)
 class BrickSolution:
-    """Bags produced by the coin-accounting construction for ``jobs`` unit jobs.
+    """Bags produced by the coin-accounting construction for unit jobs.
 
-    ``successful`` means the sizes total at least ``jobs``, i.e. every job
-    fits after trimming.
+    ``successful`` means the sizes total at least the job count, i.e. every
+    job fits after trimming.
     """
 
     bag_sizes: tuple[int, ...]
     bag_costs: tuple[int, ...]
     total_size: int
     successful: bool
-    jobs: int
-    rho: Fraction
 
 
 @dataclass(frozen=True)
@@ -142,30 +140,7 @@ def bricks_bags(jobs: int, machines: int, bags: int, rho: Fraction) -> BrickSolu
     costs += [0] * (bags - len(costs))
     sizes = tuple(z * rho.numerator // rho.denominator for z in costs)
     total = sum(sizes)
-    return BrickSolution(sizes, tuple(costs), total, total >= jobs, jobs, rho)
-
-
-def trim_to_total(solution: BrickSolution, total: int) -> BrickSolution:
-    """Shrink a successful solution so the sizes sum to exactly ``total``.
-
-    Trailing small bags are removed first, then the last non-empty bag is
-    shrunk by the remainder; no size ever increases, so the second-stage
-    guarantees are preserved.  Costs are re-derived from the new sizes.
-    """
-    exact_ints(0, total=total)
-    if solution.total_size < total:
-        raise Infeasible(f"cannot trim total {solution.total_size} up to {total}")
-    sizes = list(solution.bag_sizes)
-    excess = solution.total_size - total
-    for i in range(len(sizes) - 1, -1, -1):
-        if excess == 0:
-            break
-        cut = min(sizes[i], excess)
-        sizes[i] -= cut
-        excess -= cut
-    rho = solution.rho
-    costs = tuple(_coin_costs(sizes, rho))
-    return BrickSolution(tuple(sizes), costs, total, total >= solution.jobs, solution.jobs, rho)
+    return BrickSolution(sizes, tuple(costs), total, total >= jobs)
 
 
 def bricks_by_cost(jobs: int, machines: int, bags: int) -> FractionalSolution:
@@ -272,8 +247,11 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     """Bag profile for unit jobs; within 8/5 of optimal is certified for bags == machines only.
 
     Up to 60 jobs per machine this is the coin construction at factor 8/5,
-    trimmed to the job count, when its sizes reach the job count.  Otherwise
-    it is the greedy small-jobs packing at
+    when its sizes reach the job count, filled from the front: a bag that
+    starts s jobs in keeps min(size, jobs - s), clamped at 0.  That is a
+    full prefix, one partial bag and zeros, the same sizes as removing the
+    smallest bags first and then shrinking one, so no size increases.
+    Otherwise it is the greedy small-jobs packing at
     ``sand_robustness(machines, bags) + machines / jobs``: the unit jobs'
     running sums are ``range(jobs + 1)``, so :func:`pebbles._pack` packs
     them in O(bags log jobs) steps rather than one step per job; ``bisect``
@@ -285,12 +263,18 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     packing's factor is below 8/5.  Other bag counts carry no 8/5 guarantee:
     with fewer bags the exact oracle over n <= 12 finds worst cases of 2 at
     (machines 3, bags 2) and 3 at (machines 4, bags 2).
+
+    Both branches' sizes are non-increasing (the coin sizes since their costs
+    are, the packing's since bag k holds min((cap - P) // machines, jobs - P)
+    after P jobs), so the profile skips the checks and re-sort of ``BagProfile``.
     """
     exact_ints(1, jobs=jobs, machines=machines, bags=bags)
     if Fraction(jobs, machines) <= PEBBLES_CUTOVER:
         solution = bricks_bags(jobs, machines, bags, BRICK_ROBUSTNESS)
         if solution.successful:
-            return BagProfile(trim_to_total(solution, jobs).bag_sizes)
+            starts = accumulate(solution.bag_sizes, initial=0)
+            return BagProfile._trusted(tuple(Fraction(max(0, min(a, jobs - s)))
+                                             for a, s in zip(solution.bag_sizes, starts)))
     if jobs >= sys.maxsize:
         raise SizeLimit(f"the pebbles packing takes jobs < sys.maxsize = {sys.maxsize}, got {jobs}")
     rho = sand_robustness(machines, bags) + Fraction(machines, jobs)
@@ -299,5 +283,5 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
         raise Infeasible(
             f"no construction packed jobs={jobs} machines={machines} bags={bags}"
         )
-    return BagProfile(e - s for s, e in zip([0] + ends, ends))
+    return BagProfile._trusted(tuple(Fraction(e - s) for s, e in zip([0] + ends, ends)))
 

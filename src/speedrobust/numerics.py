@@ -146,11 +146,14 @@ def format_rational(value: Fraction | int) -> str:
 
 
 def decimal_string(value: Fraction, places: int) -> str:
-    """Round-half-up rendering of an exact rational to ``places`` >= 0 digits; floats and booleans are refused."""
+    """``value`` rounded half away from zero to ``places`` >= 0 digits; floats and booleans are refused.
+
+    The sign is printed only when the rounded value is not zero: no ``-0``.
+    """
     exact_ints(0, places=places)
     value = exact_rational(value)
-    sign = "-" if value < 0 else ""
     scaled = abs(value) * 10**places
     units = (scaled.numerator + scaled.denominator // 2) // scaled.denominator
+    sign = "-" if value < 0 and units else ""
     digits = str(units).rjust(places + 1, "0")
     return f"{sign}{digits[:-places]}.{digits[-places:]}" if places else f"{sign}{digits}"

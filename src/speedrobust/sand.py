@@ -55,7 +55,7 @@ def _check_printable_scale(machines: int, bags: int) -> None:
 
 def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
     exact_ints(1, machines=machines, bags=bags)
-    _check_printable_scale(machines, bags)
+    _check_printable_scale(max(machines, 2), bags)  # a single machine's scale 1 bounds no list of b weights
     # weights[j + 1] = weights[j] * (machines - 1) / machines, exact while
     # machines divides the weight, which holds for every weight kept
     weights = []
@@ -81,23 +81,26 @@ def sand_robustness(machines: int, bags: int) -> Fraction:
 
 
 def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
-    """Optimal bag sizes for divisible load: weights rescaled to sum to ``total``.
+    """Optimal bag sizes for divisible load: the skeleton weights rescaled to sum to ``total``.
 
     The skeleton keeps all ``machines`` even with fewer bags: the clairvoyant
     optimum spreads the load over every machine, so reducing the machine
     count to ``bags`` would miss the ``sand_robustness(machines, bags)`` factor.
 
-    Sizes follow the weights' running product: each is the one before times
-    (machines-1)/machines, a Fraction product whose reductions are gcds
-    against machines and machines-1 only, so past the first size no gcd is
-    taken between two big numbers.  The sizes are non-increasing and
-    non-negative by construction, so the profile skips the checks and
-    re-sort of ``BagProfile``.
+    The first size is total * m**(b-1) / (m**b - (m-1)**b), the first weight
+    over the weights' sum, so no skeleton is built.  Each later size is the
+    one before times (machines-1)/machines, a Fraction product whose
+    reductions are gcds against machines and machines-1 only, so past the
+    first size no gcd is taken between two big numbers.  The sizes are
+    non-increasing and non-negative by construction, so the profile skips
+    the checks and re-sort of ``BagProfile``.  Bag counts are bounded as for
+    :func:`geometric_skeleton`, a single machine's like two machines'.
     """
     total = exact_factor(total, "total")
-    sk = geometric_skeleton(machines, bags)
+    exact_ints(1, machines=machines, bags=bags)
+    _check_printable_scale(max(machines, 2), bags)
     ratio = Fraction(machines - 1, machines)
-    sizes = [total * Fraction(sk.weights[0], sk.weight_total)]
+    sizes = [total * Fraction(machines ** (bags - 1), machines**bags - (machines - 1) ** bags)]
     for _ in range(bags - 1):
         sizes.append(sizes[-1] * ratio)
     return BagProfile._trusted(tuple(sizes))

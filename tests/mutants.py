@@ -35,9 +35,18 @@ class Mutant(NamedTuple):
     verdict: str
 
 
+BRICKS = "src/speedrobust/bricks.py"
+NUMERICS = "src/speedrobust/numerics.py"
+PEBBLES = "src/speedrobust/pebbles.py"
 SAND = "src/speedrobust/sand.py"
 VERIFY = "src/speedrobust/verify.py"
 SECOND = "src/speedrobust/second_stage.py"
+TRIM_TESTS = ("tests/test_bricks.py::test_dispatcher_trims_as_the_former_trim_on_every_successful_cell",)
+SIGN_TESTS = ("tests/test_bricks.py::test_decimal_string_rounding",)
+TOTALS_TESTS = (
+    "tests/test_verify.py::test_coin_totals_match_the_per_cell_recurrence",
+    "tests/test_verify.py::test_fast_sweep_size_matches_library_route",
+)
 PROBE_TESTS = ("tests/test_sand.py",)
 WALK_TESTS = (
     "tests/test_verify.py::test_coin_walk_matches_the_kernel_on_every_partition",
@@ -73,6 +82,26 @@ MUTANTS = [
     Mutant(SECOND, "current >= best", "current > best", SEARCH_TESTS + THRESHOLD_TESTS,
            "equivalent: a node at the incumbent's time reaches only tying leaves, so going on"
            " changes at most which optimal leaf is returned"),
+    # The dispatcher's one-pass trim of the coin sizes, and decimal_string's sign.
+    Mutant(BRICKS, "max(0, min(a, jobs - s))", "min(a, jobs - s)", TRIM_TESTS, "killed"),
+    Mutant(BRICKS, "jobs - s)))", "jobs - s - 1)))", TRIM_TESTS, "killed"),
+    Mutant(NUMERICS, "value < 0 and units", "value < 0", SIGN_TESTS, "killed"),
+    # The success sweep's cut level in _coin_totals: dropped, or priced at n rather than at the cut.
+    Mutant(BRICKS, "total += (m - b + bags[a]) * level_size[a] - size[a]", "total += -size[a]",
+           TOTALS_TESTS, "killed"),
+    Mutant(BRICKS, "* level_size[a] - size[a]", "* level_size[c] - size[a]", TOTALS_TESTS, "killed"),
+    # The pebbles kernel's bag ends, its sizes and packed_all, and the dispatcher's guard on range().
+    Mutant(PEBBLES, ", i) - 1", ", i)", ("tests/test_pebbles.py",), "killed"),
+    Mutant(PEBBLES, "zip([0] + ends, ends)", "zip([1] + ends, ends)",
+           ("tests/test_pebbles.py::test_packing_fills_greedily_at_generous_factor",), "killed"),
+    Mutant(PEBBLES, "packed_all=ends[-1] == len(scaled)", "packed_all=ends[-1] <= len(scaled)",
+           ("tests/test_pebbles.py::test_packing_reports_overflow",), "killed"),
+    Mutant(BRICKS, "if jobs >= sys.maxsize:", "if jobs > sys.maxsize:",
+           ("tests/test_pebbles.py::test_dispatcher_past_cutover_packs_up_to_the_longest_range",), "killed"),
+    # The argument rule: a factor of 0 is refused.
+    Mutant(NUMERICS, "if value <= 0 if least is None else value < least:",
+           "if value < 0 if least is None else value < least:",
+           ("tests/test_numerics.py::test_exact_factor_returns_the_fraction_in_range",), "killed"),
 ]
 
 

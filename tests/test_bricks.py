@@ -19,9 +19,8 @@ from speedrobust.bricks import (
     solution_size,
     surplus_breakpoints,
     transformation_factor,
-    trim_to_total,
 )
-from speedrobust.model import FractionalSolution, Infeasible, SpeedProfile
+from speedrobust.model import BagProfile, FractionalSolution, Infeasible, SpeedProfile
 from speedrobust.numerics import ceil_div, decimal_string, floor_scale
 from speedrobust.sand import sand_robustness
 from speedrobust.second_stage import optimal_second_stage
@@ -87,25 +86,52 @@ def test_construction_size_cost_relation(n, m, b):
             assert a == 0
 
 
-def test_trim_known_profiles():
-    sol = bricks_bags(45, 9, 9, BRICK_ROBUSTNESS)
-    assert trim_to_total(sol, 45).bag_sizes == (8, 8, 6, 6, 4, 4, 4, 3, 2)
+def _former_trim(sizes, total):
+    # reference: the former trim_to_total, which removed trailing small bags first and then
+    # shrank the last non-empty bag by the remainder
+    sizes, excess = list(sizes), sum(sizes) - total
+    for i in range(len(sizes) - 1, -1, -1):
+        if excess == 0:
+            break
+        cut = min(sizes[i], excess)
+        sizes[i] -= cut
+        excess -= cut
+    return tuple(sizes)
 
-    sol = bricks_bags(7, 7, 7, BRICK_ROBUSTNESS)
-    assert trim_to_total(sol, 7).bag_sizes == sol.bag_sizes
 
-    sol = bricks_bags(13, 10, 3, BRICK_ROBUSTNESS)  # bags [3, 3, 1]
-    assert sol.bag_sizes == (3, 3, 1)
-    assert trim_to_total(sol, 5).bag_sizes == (3, 2, 0)
+def test_dispatcher_trims_as_the_former_trim_on_every_successful_cell():
+    assert _former_trim((8, 8, 6, 6, 4, 4, 4, 3, 3), 45) == (8, 8, 6, 6, 4, 4, 4, 3, 2)
+    assert _former_trim((3, 3, 1), 5) == (3, 2, 0)
+    assert robust_bags(45, 9, 9).sizes == (8, 8, 6, 6, 4, 4, 4, 3, 2)
+    assert robust_bags(7, 7, 7).sizes == (1,) * 7
+    cells = 0
+    for m in range(1, 9):
+        for b in range(1, 2 * m + 2):
+            for n in range(1, 60 * m + 1):
+                sol = bricks_bags(n, m, b, BRICK_ROBUSTNESS)
+                if not sol.successful:
+                    continue
+                cells += 1
+                sizes = robust_bags(n, m, b).sizes
+                assert sizes == _former_trim(sol.bag_sizes, n), (n, m, b)
+                assert all(t <= a for t, a in zip(sizes, sol.bag_sizes)) and sum(sizes) == n
+    assert cells == 16_724
 
 
-def test_trim_never_increases_and_errors_when_short():
-    sol = bricks_bags(45, 9, 9, BRICK_ROBUSTNESS)
-    trimmed = trim_to_total(sol, 45)
-    assert all(t <= a for t, a in zip(trimmed.bag_sizes, sol.bag_sizes))
-    assert sum(trimmed.bag_sizes) == 45
-    with pytest.raises(Infeasible):
-        trim_to_total(sol, 47)
+def test_dispatcher_coin_profile_is_a_full_prefix_one_partial_bag_and_zeros():
+    # filling from the front keeps the coin sizes up to the bag where the jobs run out, cuts that
+    # one bag, and empties every bag after it
+    for m in range(1, 7):
+        for b in range(1, 2 * m + 2):
+            for n in range(1, 60 * m + 1):
+                sol = bricks_bags(n, m, b, BRICK_ROBUSTNESS)
+                if not sol.successful:
+                    continue
+                sizes = robust_bags(n, m, b).sizes
+                full = next((i for i, (t, a) in enumerate(zip(sizes, sol.bag_sizes)) if t != a), b)
+                assert sizes[:full] == sol.bag_sizes[:full], (n, m, b)
+                assert all(t == 0 for t in sizes[full + 1:]), (n, m, b)
+                assert full == b or 0 <= sizes[full] < sol.bag_sizes[full], (n, m, b)
 
 
 def test_cost_batched_counts_known_values():
@@ -350,6 +376,16 @@ def test_dispatcher_large_case_stays_under_target():
     assert sum(profile.sizes) == 61 * 1000
 
 
+def test_dispatcher_profiles_are_sorted_fractions_on_both_branches():
+    # neither branch goes through BagProfile's checks and re-sort: its sizes must be what they make
+    for m in range(1, 9):
+        for b in range(1, 2 * m + 2):
+            for n in [*range(1, 60 * m + 61, 7), 10**4 + m, 10**6 + b]:
+                sizes = robust_bags(n, m, b).sizes
+                assert sizes == BagProfile(sizes).sizes, (n, m, b)
+                assert all(type(a) is Fraction for a in sizes), (n, m, b)
+
+
 def test_dispatcher_with_fewer_bags_is_not_eight_fifths():
     # n unit jobs on n unit-speed machines finish at 1 unbagged; with fewer bags
     # than machines the largest bag alone takes longer than 8/5.
@@ -361,6 +397,13 @@ def test_dispatcher_with_fewer_bags_is_not_eight_fifths():
 
 def test_decimal_string_rounding():
     assert decimal_string(Fraction(-2, 5), 5) == "-0.40000"
+    assert decimal_string(Fraction(-1, 2000), 3) == "-0.001"  # half away from zero
+    assert decimal_string(Fraction(1, 2000), 3) == "0.001"
+    assert decimal_string(Fraction(-1, 2), 0) == "-1"
+    # the sign only when the rounded value is not zero
+    assert decimal_string(Fraction(-1, 3), 0) == "0"
+    assert decimal_string(Fraction(-1, 10**6), 3) == "0.000"
+    assert decimal_string(Fraction(-1, 2001), 3) == "0.000"
     assert decimal_string(Fraction(1, 6), 3) == "0.167"
     assert decimal_string(Fraction(1, 12), 3) == "0.083"
     assert decimal_string(Fraction(127, 20), 3) == "6.350"

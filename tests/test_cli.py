@@ -44,6 +44,13 @@ def test_bags_sand_and_auto(capsys):
     assert sum(r["size"] for r in rows_from_json(out)) == 45
 
 
+def test_bags_sand_on_one_machine_put_the_total_in_the_first_bag(capsys):
+    code, out, _ = run_cli(capsys, "bags", "--mode", "sand", "--m", "1", "--b", "3",
+                           "--total", "2")
+    assert code == 0
+    assert [r["size"] for r in rows_from_json(out)] == [2, 0, 0]
+
+
 def test_bags_pebbles_inline_jobs(capsys):
     code, out, _ = run_cli(capsys, "bags", "--mode", "pebbles", "--m", "2", "--b", "2",
                            "--jobs", "1,1,1,1", "--rho", "11/6")
@@ -372,6 +379,10 @@ def test_default_tables_keep_their_bytes(capsys, which, fmt, digest):
 
 def test_sand_bags_with_unprintable_scale_exit_two(capsys):
     code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "3000", "--b", "3000",
+                             "--total", "1")
+    assert code == 2 and "decimal digits" in err and out == ""
+    # a single machine's scale is 1, but 10**12 bags would be a list of 10**12 sizes
+    code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "1", "--b", str(10**12),
                              "--total", "1")
     assert code == 2 and "decimal digits" in err and out == ""
 

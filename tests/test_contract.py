@@ -43,7 +43,7 @@ CONTRACT: dict[str, Entry] = {
     "SpeedProfile": Entry(sr.SpeedProfile, {"speeds": [2, 1]}),
     "FractionalSolution": Entry(sr.FractionalSolution, {"counts": {2: 1, 1: 1}, "bag_budget": 2}),
     "BrickSolution": Entry(sr.BrickSolution, {"bag_sizes": (3, 2), "bag_costs": (2, 2), "total_size": 5,
-                                              "successful": True, "jobs": 5, "rho": RHO}),
+                                              "successful": True}),
     "SurplusPoint": Entry(sr.SurplusPoint, {"lam": Fraction(1), "surplus": Fraction(0)}),
     "PebblesResult": Entry(sr.PebblesResult, {"bag_ends": (1,), "bag_sizes": (Fraction(1),),
                                               "packed_all": True}),
@@ -88,8 +88,6 @@ CONTRACT: dict[str, Entry] = {
     # bricks
     "bricks_bags": Entry(sr.bricks_bags, {"jobs": 5, "machines": 2, "bags": 2, "rho": RHO},
                          {"jobs": 1, "machines": 1, "bags": 1}, {"rho": 1}),
-    "trim_to_total": Entry(sr.trim_to_total,
-                           {"solution": sr.bricks_bags(5, 2, 2, RHO), "total": 5}, {"total": 0}),
     "bricks_by_cost": Entry(sr.bricks_by_cost, {"jobs": 5, "machines": 2, "bags": 2},
                             {"jobs": 1, "machines": 1, "bags": 1}),
     "bricks_fractional": Entry(sr.bricks_fractional, {"jobs": 5, "machines": 2, "bags": 2},
@@ -194,7 +192,6 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.verify_sand_upper(2, 2, True, seed=1.5),
     lambda: sr.verify_sand_upper(2.0, 2, 5),  # raised AttributeError
     lambda: sr.verify_bricks_success_range(2, 2, rho=0),  # reported every cell as failing
-    lambda: sr.trim_to_total(sr.bricks_bags(5, 2, 2, RHO), -1),  # returned total_size=-1
     lambda: sr.enumerate_integral_speed_profiles(0, 2),  # returned a generator: not iterated here
     lambda: sr.enumerate_integral_speed_profiles(3.0, 2),
     lambda: sr.format_rational(0.1),  # returned 3602879701896397/36028797018963968
@@ -222,14 +219,17 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: adversary_optima(2, 2, [2, 2]),  # raised AttributeError
     lambda: sr.optimal_second_stage([2, 1], sr.SpeedProfile([1])),  # raised AttributeError
     lambda: sr.optimal_second_stage(sr.BagProfile([2, 1]), [1]),  # raised AttributeError
+    lambda: sr.sand_bags(1, 10**12, 1),  # ran out of memory building 10**12 sizes
+    lambda: sr.geometric_skeleton(1, 10**12),  # ran out of memory building 10**12 weights
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
-        "sand_upper_bool", "sand_upper_float", "success_range_rho", "trim", "enumerate_zero",
+        "sand_upper_bool", "sand_upper_float", "success_range_rho", "enumerate_zero",
         "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
         "bags_string", "speeds_string", "instance_string", "integral_string", "bags_none",
         "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal", "bags_bytes",
         "speeds_bytearray", "bags_mapping", "integral_bytes", "assignment_bytes",
         "assignment_bytearray", "assignment_mapping", "makespan_bytes", "probe_list",
-        "optima_list", "oracle_bag_list", "oracle_speed_list"])
+        "optima_list", "oracle_bag_list", "oracle_speed_list", "sand_bags_one_machine",
+        "skeleton_one_machine"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

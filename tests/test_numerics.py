@@ -1,3 +1,4 @@
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, strategies as st
 
 import speedrobust as sr
 from speedrobust.numerics import (
-    ceil_div, exact_factor, exact_ints, exact_rational, floor_scale, format_rational, parse_rational,
-    whole_numbers,
+    ceil_div, decimal_string, exact_factor, exact_ints, exact_rational, floor_scale, format_rational,
+    parse_rational, whole_numbers,
 )
 
 rationals = st.fractions(min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=999)
@@ -180,3 +181,23 @@ def test_whole_numbers_takes_whole_rationals_and_refuses_the_rest():
                          (2.0, "floats are rejected"), (True, "true/false are rejected")]:
         with pytest.raises(ValueError, match=message):
             whole_numbers([4, bad], "sizes")
+
+
+def _decimal_reference(value: Fraction, places: int) -> str:
+    # the decimal module's ROUND_HALF_UP rounds half away from zero; it keeps a signed zero, which
+    # decimal_string does not print
+    with localcontext() as ctx:
+        ctx.prec = 60
+        rounded = (Decimal(value.numerator) / Decimal(value.denominator)).quantize(
+            Decimal(1).scaleb(-places), rounding=ROUND_HALF_UP)
+    return str(abs(rounded) if rounded == 0 else rounded)
+
+
+@pytest.mark.parametrize("places", range(5))
+def test_decimal_string_matches_the_decimal_module(places):
+    # every p/q with |p| <= 60 and q <= 40: the halves that round away from zero, on both signs,
+    # and the negative values that round to zero and print no sign
+    for q in range(1, 41):
+        for p in range(-60, 61):
+            value = Fraction(p, q) / 10**places
+            assert decimal_string(value, places) == _decimal_reference(value, places), (value, places)

@@ -68,10 +68,27 @@ def test_sand_bags_known_profiles():
     assert sizes == (Fraction(7, 3), 0, 0)
 
 
+def test_sand_bags_builds_no_skeleton(monkeypatch):
+    # the first size comes from the closed form, not from a list of b big-integer weights
+    def refuse(machines, bags):
+        raise AssertionError("sand_bags built a skeleton")
+
+    monkeypatch.setattr(sand, "geometric_skeleton", refuse)
+    assert sand_bags(2, 4, 15).sizes == (8, 4, 2, 1)
+    assert sand_bags(3, 3, 19).sizes == (9, 6, 4)
+
+
+def test_single_machine_sand_bags_put_the_whole_total_in_the_first_bag():
+    for b in range(1, 41):
+        for total in (1, Fraction(7, 3), 10**9):
+            assert sand_bags(1, b, total).sizes == (total,) + (0,) * (b - 1), (b, total)
+        assert sand_robustness(1, b) == 1
+
+
 def test_skeleton_and_sizes_match_the_closed_forms():
-    # weights are a running product and sizes a running Fraction product;
-    # both must equal the closed forms m**(b-j) * (m-1)**(j-1) and w * total / weight_total
-    for m, b in [(3, 400), (1, 5), (7, 40), (2, 64)]:
+    # weights are a running product and sizes a running Fraction product from a closed-form
+    # first size; both must equal the closed forms m**(b-j) * (m-1)**(j-1) and w * total / weight_total
+    for m, b in [(3, 400), (7, 40), (2, 64), *((m, b) for m in range(1, 9) for b in range(1, 17))]:
         weights = tuple(m ** (b - j) * (m - 1) ** (j - 1) for j in range(1, b + 1))
         sk = geometric_skeleton(m, b)
         assert sk.weights == weights
@@ -245,11 +262,22 @@ def test_skeleton_refuses_unprintable_scales(str_digits_640):
         geometric_skeleton(3, 1342)
     with pytest.raises(SizeLimit):
         sand_bags(3, 1342, 1)
+    # a single machine's scale is 1, but it still holds b entries: it takes the counts two machines
+    # take, and 2**2126 has 640 digits, 2**2127 has 641
+    assert len(geometric_skeleton(1, 2126).weights) == 2126
+    assert sand_bags(1, 2126, 1).sizes == (1,) + (0,) * 2125
+    with pytest.raises(SizeLimit):
+        geometric_skeleton(1, 2127)
+    with pytest.raises(SizeLimit):
+        sand_bags(1, 2127, 1)
+    assert sand_robustness(1, 2127) == 1
 
 
 def test_skeleton_refuses_huge_scales_at_once():
     start = time.perf_counter()
-    for m, b in [(3000, 3000), (10**6, 10**6), (2, 10**9)]:
+    for m, b in [(3000, 3000), (10**6, 10**6), (2, 10**9), (1, 10**12)]:
         with pytest.raises(SizeLimit):
             geometric_skeleton(m, b)
+        with pytest.raises(SizeLimit):
+            sand_bags(m, b, 1)
     assert time.perf_counter() - start < 0.5

@@ -5,7 +5,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_bags, trim_to_total
+from speedrobust.bricks import BRICK_ROBUSTNESS, bricks_bags, robust_bags
 from speedrobust.model import (
     Assignment,
     BagProfile,
@@ -118,10 +118,10 @@ def test_integral_known_runs():
 
 
 def test_integral_places_trimmed_construction_on_flat_speeds():
-    trimmed = trim_to_total(bricks_bags(45, 9, 9, BRICK_ROBUSTNESS), 45)
-    result = integral_assignment(list(trimmed.bag_sizes), [5] * 9, BRICK_ROBUSTNESS)
+    trimmed = robust_bags(45, 9, 9)
+    result = integral_assignment(trimmed.sizes, [5] * 9, BRICK_ROBUSTNESS)
     assert result is not None
-    value = makespan(result, BagProfile(trimmed.bag_sizes), SpeedProfile([5] * 9))
+    value = makespan(result, trimmed, SpeedProfile([5] * 9))
     assert value <= BRICK_ROBUSTNESS
 
 
