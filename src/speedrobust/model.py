@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .numerics import _refuse_string, exact_ints, exact_rational
+from .numerics import _refuse_string, _to_common_ints, exact_ints, exact_rational
 
 
 class InvalidAssignment(ValueError):
@@ -166,23 +166,27 @@ def makespan(assignment: Assignment, bags: BagProfile, speeds: SpeedProfile) -> 
     """Largest machine completion time (assigned size over speed) of an assignment.
 
     Machines of speed 0 accept only zero-size bags; a positive bag there makes
-    the assignment invalid.
+    the assignment invalid.  Loads are summed as integers over the sizes'
+    common denominator, each load / speed is compared with the largest so far
+    by cross-multiplying, and one ``Fraction`` is built at the end.
     """
     if len(assignment.machine_of_bag) != len(bags.sizes):
         raise InvalidAssignment(
             f"assignment covers {len(assignment.machine_of_bag)} bags, profile has {len(bags.sizes)}"
         )
-    loads = [Fraction(0)] * len(speeds.speeds)
+    sizes, unit = _to_common_ints(bags.sizes)
+    loads = [0] * len(speeds.speeds)
     for bag, machine in enumerate(assignment.machine_of_bag):
-        if machine >= len(speeds.speeds):
+        if machine >= len(loads):
             raise InvalidAssignment(f"bag {bag} assigned to unknown machine {machine}")
-        loads[machine] += bags.sizes[bag]
-    worst = Fraction(0)
+        loads[machine] += sizes[bag]
+    top, low = 0, 1  # the largest load / speed so far, as top / (low * unit)
     for load, speed in zip(loads, speeds.speeds):
         if speed == 0:
             if load > 0:
                 raise InvalidAssignment("positive-size bag assigned to a speed-0 machine")
             continue
-        worst = max(worst, load / speed)
-    return worst
-
+        time = load * speed.denominator
+        if time * low > top * speed.numerator:
+            top, low = time, speed.numerator
+    return Fraction(top, low * unit)

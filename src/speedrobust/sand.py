@@ -44,18 +44,25 @@ def _check_printable_scale(machines: int, bags: int) -> None:
     under 10**limit.  Past that, when bags * (bit_length - 1) reaches the bit
     length of 10**limit the power is too large without being computed;
     otherwise it has fewer than twice that many bits and is compared exactly.
+    A single machine's scale is 1, but its skeleton and profile still hold
+    ``bags`` entries, so it is refused the bag counts two machines are, and
+    the refusal names its bag count.
     """
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if not limit or bags * machines.bit_length() <= 3 * limit:
+    base = max(machines, 2)
+    if not limit or bags * base.bit_length() <= 3 * limit:
         return
     bound = 10**limit
-    if bags * (machines.bit_length() - 1) >= bound.bit_length() or machines**bags >= bound:
+    if bags * (base.bit_length() - 1) >= bound.bit_length() or base**bags >= bound:
+        if machines == 1:
+            raise SizeLimit(f"{bags} bags on a single machine: it takes the bag counts whose "
+                            f"two-machine scale has at most {limit} decimal digits")
         raise SizeLimit(f"scale {machines}**{bags} has more than {limit} decimal digits")
 
 
 def geometric_skeleton(machines: int, bags: int) -> GeometricSkeleton:
     exact_ints(1, machines=machines, bags=bags)
-    _check_printable_scale(max(machines, 2), bags)  # a single machine's scale 1 bounds no list of b weights
+    _check_printable_scale(machines, bags)
     # weights[j + 1] = weights[j] * (machines - 1) / machines, exact while
     # machines divides the weight, which holds for every weight kept
     weights = []
@@ -71,10 +78,13 @@ def sand_robustness(machines: int, bags: int) -> Fraction:
     """Tight robustness factor for divisible load: scale over weight_total.
 
     That is m**b / (m**b - (m - 1)**b), computed without the skeleton's
-    weights.  Equals 1 for a single machine, never exceeds ``machines``, and
-    for bags == machines increases toward e/(e-1) as machines grows.
+    weights.  Equals 1 for a single machine, at any bag count and with no
+    scale to check, never exceeds ``machines``, and for bags == machines
+    increases toward e/(e-1) as machines grows.
     """
     exact_ints(1, machines=machines, bags=bags)
+    if machines == 1:
+        return Fraction(1)
     _check_printable_scale(machines, bags)
     scale = machines**bags
     return Fraction(scale, scale - (machines - 1) ** bags)
@@ -98,7 +108,7 @@ def sand_bags(machines: int, bags: int, total: Fraction | int) -> BagProfile:
     """
     total = exact_factor(total, "total")
     exact_ints(1, machines=machines, bags=bags)
-    _check_printable_scale(max(machines, 2), bags)
+    _check_printable_scale(machines, bags)
     ratio = Fraction(machines - 1, machines)
     sizes = [total * Fraction(machines ** (bags - 1), machines**bags - (machines - 1) ** bags)]
     for _ in range(bags - 1):

@@ -288,10 +288,24 @@ def verify_sand_upper(
     """Check greedy assignment of the sand bags at the tight factor never fails.
 
     Runs against the full adversary configuration family plus ``trials``
-    seeded pseudo-random rational speed profiles of the same total.  Both
-    kinds are cases of one list, each decided by the assigners' integer
-    kernel on bag sizes scaled once.  Every case's speeds are non-increasing
-    with a positive first entry, so machine 0 is the resting machine.
+    seeded pseudo-random rational speed profiles of the same total.  Each
+    case is decided as it is drawn, by the assigners' integer kernel on bag
+    sizes scaled once, and a failure record (its fields and its speeds as
+    ``p/q``) is built only for a case the kernel fails.  Every case's speeds
+    are non-increasing with a positive first entry, so machine 0 is the
+    resting machine.
+
+    A trial draws ``machines`` raw speeds r in [0, ``RANDOM_SPEED_GRAIN``],
+    again while all are zero, sorts them down, and has the speeds
+    r * scale / sum(raw).  Each r is drawn as CPython's
+    ``Random.randint(0, RANDOM_SPEED_GRAIN)`` draws it: ``getrandbits(k)``,
+    again while above the grain, with k the bit length of grain + 1, which
+    is the grain's own since grain + 1 is no power of two.  So a seed gives
+    the trials it gave through ``randint``.  The kernel takes the raw draws
+    as speeds in units of sum(raw), with the scale folded into the sizes'
+    unit: cap r * size_unit * scale * rho.numerator against cost
+    a * sum(raw) * rho.denominator is the test the speeds r * scale / sum(raw)
+    give, so a trial that passes builds no speeds.
     """
     exact_ints(0, trials=trials)
     exact_ints(seed=seed)
@@ -299,25 +313,34 @@ def verify_sand_upper(
     rho = sand_robustness(machines, bags)
     scale = machines**bags
     sizes, size_unit = _to_common_ints(sand_bags(machines, bags, scale).sizes)
-    # A case is its record fields, integer speeds and their unit.  The family
-    # is read from ``adversary_configs``, not ``sand._adversary_speeds``: its
-    # ``SpeedProfile`` builds are the traced bench's only
-    # ``model.speed_profile_us`` spans.
-    cases = [({"kind": "adversary", "config": k}, *_to_common_ints(config.speeds))
-             for k, config in enumerate(adversary_configs(machines, bags))]
-    rng = random.Random(seed)
+    reason = "greedy assignment failed at the tight factor"
+    failures: list[dict] = []
+    # The family is read from ``adversary_configs``, not ``sand._adversary_speeds``:
+    # its ``SpeedProfile`` builds are the traced bench's only ``model.speed_profile_us`` spans.
+    configs = adversary_configs(machines, bags)
+    for k, config in enumerate(configs):
+        speeds, unit = _to_common_ints(config.speeds)
+        if _largest_first(*_capacity_costs(sizes, size_unit, speeds, unit, rho), 0) is None:
+            failures.append({"kind": "adversary", "config": k,
+                             "speeds": [format_rational(s) for s in config.speeds], "reason": reason})
+    getrandbits = random.Random(seed).getrandbits
+    bits = RANDOM_SPEED_GRAIN.bit_length()
     for t in range(trials):
         raw = [0]
         while not any(raw):
-            raw = [rng.randint(0, RANDOM_SPEED_GRAIN) for _ in range(machines)]
+            raw = []
+            for _ in range(machines):
+                r = getrandbits(bits)
+                while r > RANDOM_SPEED_GRAIN:
+                    r = getrandbits(bits)
+                raw.append(r)
         raw.sort(reverse=True)
-        # Speeds r * scale / sum(raw): integers r * scale in units of sum(raw).
-        cases.append(({"kind": "random", "trial": t}, [r * scale for r in raw], sum(raw)))
-    failures = [{**fields, "speeds": [format_rational(Fraction(s, unit)) for s in speeds],
-                 "reason": "greedy assignment failed at the tight factor"}
-                for fields, speeds, unit in cases
-                if _largest_first(*_capacity_costs(sizes, size_unit, speeds, unit, rho), 0) is None]
-    checked = len(cases)
+        unit = sum(raw)
+        if _largest_first(*_capacity_costs(sizes, size_unit * scale, raw, unit, rho), 0) is None:
+            failures.append({"kind": "random", "trial": t,
+                             "speeds": [format_rational(Fraction(r * scale, unit)) for r in raw],
+                             "reason": reason})
+    checked = len(configs) + trials
 
     elapsed = int((time.perf_counter() - start) * 1000)
     grid = {

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 BRICKS = "src/speedrobust/bricks.py"
+MODEL = "src/speedrobust/model.py"
 NUMERICS = "src/speedrobust/numerics.py"
 PEBBLES = "src/speedrobust/pebbles.py"
 SAND = "src/speedrobust/sand.py"
@@ -48,6 +49,10 @@ TOTALS_TESTS = (
     "tests/test_verify.py::test_fast_sweep_size_matches_library_route",
 )
 PROBE_TESTS = ("tests/test_sand.py",)
+DRAW_TESTS = (
+    "tests/test_verify.py::test_sand_trials_draw_what_randint_draws",
+    "tests/test_verify.py::test_sand_campaign_random_trials_match_greedy_on_speed_profiles",
+)
 WALK_TESTS = (
     "tests/test_verify.py::test_coin_walk_matches_the_kernel_on_every_partition",
     "tests/test_verify.py::test_robustness_payloads_match_the_per_profile_kernel",
@@ -98,6 +103,14 @@ MUTANTS = [
            ("tests/test_pebbles.py::test_packing_reports_overflow",), "killed"),
     Mutant(BRICKS, "if jobs >= sys.maxsize:", "if jobs > sys.maxsize:",
            ("tests/test_pebbles.py::test_dispatcher_past_cutover_packs_up_to_the_longest_range",), "killed"),
+    # The sand sweep's draw from raw bits, its sort, the scale folded into the sizes' unit,
+    # and makespan's integer comparison.
+    Mutant(VERIFY, "r > RANDOM_SPEED_GRAIN", "r >= RANDOM_SPEED_GRAIN", DRAW_TESTS, "killed"),
+    Mutant(VERIFY, "bit_length()", "bit_length() + 1", DRAW_TESTS, "killed"),
+    Mutant(VERIFY, "raw.sort(reverse=True)", "pass", DRAW_TESTS, "killed"),
+    Mutant(VERIFY, "(sizes, size_unit * scale,", "(sizes, size_unit,", DRAW_TESTS, "killed"),
+    Mutant(MODEL, "load * speed.denominator", "load",
+           ("tests/test_model.py::test_integer_makespan_matches_the_fraction_loop",), "killed"),
     # The argument rule: a factor of 0 is refused.
     Mutant(NUMERICS, "if value <= 0 if least is None else value < least:",
            "if value < 0 if least is None else value < least:",

@@ -385,6 +385,7 @@ def test_sand_bags_with_unprintable_scale_exit_two(capsys):
     code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "1", "--b", str(10**12),
                              "--total", "1")
     assert code == 2 and "decimal digits" in err and out == ""
+    assert "1000000000000 bags on a single machine" in err and "**" not in err
 
 
 def test_deterministic_output(capsys):

@@ -95,6 +95,53 @@ def test_makespan_scales_inversely_with_speeds(bag_sizes, raw_speeds, alpha):
     assert makespan(Assignment(owners), bags, faster) == makespan(Assignment(owners), bags, speeds) / alpha
 
 
+def _fraction_makespan(assignment, bags, speeds):
+    # The Fraction loop makespan ran before it summed integer loads: the reference.
+    if len(assignment.machine_of_bag) != len(bags.sizes):
+        raise InvalidAssignment(
+            f"assignment covers {len(assignment.machine_of_bag)} bags, profile has {len(bags.sizes)}"
+        )
+    loads = [Fraction(0)] * len(speeds.speeds)
+    for bag, machine in enumerate(assignment.machine_of_bag):
+        if machine >= len(speeds.speeds):
+            raise InvalidAssignment(f"bag {bag} assigned to unknown machine {machine}")
+        loads[machine] += bags.sizes[bag]
+    worst = Fraction(0)
+    for load, speed in zip(loads, speeds.speeds):
+        if speed == 0:
+            if load > 0:
+                raise InvalidAssignment("positive-size bag assigned to a speed-0 machine")
+            continue
+        worst = max(worst, load / speed)
+    return worst
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except InvalidAssignment as error:
+        return str(error)
+
+
+@given(
+    st.lists(st.fractions(min_value=0, max_value=50, max_denominator=30) | st.just(Fraction(0)),
+             max_size=7),
+    st.lists(st.fractions(min_value=0, max_value=9, max_denominator=12) | st.just(Fraction(0)),
+             min_size=1, max_size=5),
+    st.data(),
+)
+def test_integer_makespan_matches_the_fraction_loop(bag_sizes, raw_speeds, data):
+    # Zero-size bags, speed-0 machines, owners past the last machine and assignments of
+    # the wrong length: the same value, or the same InvalidAssignment message.
+    raw_speeds[0] += 1
+    bags, speeds = BagProfile(bag_sizes), SpeedProfile(raw_speeds)
+    count = data.draw(st.sampled_from([len(bag_sizes)] * 5 + [len(bag_sizes) + 1]))
+    owners = data.draw(st.lists(st.integers(0, len(raw_speeds)), min_size=count, max_size=count))
+    assignment = Assignment(owners)
+    expected = _outcome(_fraction_makespan, assignment, bags, speeds)
+    assert _outcome(makespan, assignment, bags, speeds) == expected
+
+
 def test_profiles_sort_non_increasing():
     assert BagProfile([1, 3, 2]).sizes == (3, 2, 1)
     assert SpeedProfile(["1/2", 2, 1]).speeds == (2, 1, Fraction(1, 2))

@@ -266,10 +266,9 @@ def test_skeleton_refuses_unprintable_scales(str_digits_640):
     # take, and 2**2126 has 640 digits, 2**2127 has 641
     assert len(geometric_skeleton(1, 2126).weights) == 2126
     assert sand_bags(1, 2126, 1).sizes == (1,) + (0,) * 2125
-    with pytest.raises(SizeLimit):
-        geometric_skeleton(1, 2127)
-    with pytest.raises(SizeLimit):
-        sand_bags(1, 2127, 1)
+    for build in (lambda: geometric_skeleton(1, 2127), lambda: sand_bags(1, 2127, 1)):
+        with pytest.raises(SizeLimit, match=r"^2127 bags on a single machine: .* at most 640 decimal"):
+            build()
     assert sand_robustness(1, 2127) == 1
 
 
@@ -281,3 +280,8 @@ def test_skeleton_refuses_huge_scales_at_once():
         with pytest.raises(SizeLimit):
             sand_bags(m, b, 1)
     assert time.perf_counter() - start < 0.5
+    # the m = 1 refusal names the bag count asked for, not a two-machine scale 2**b
+    for build in (lambda: geometric_skeleton(1, 10**12), lambda: sand_bags(1, 10**12, 1)):
+        with pytest.raises(SizeLimit, match=r"^1000000000000 bags on a single machine: ") as refused:
+            build()
+        assert "**" not in str(refused.value)

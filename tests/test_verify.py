@@ -362,7 +362,17 @@ def test_sand_campaign_clean_and_deterministic():
     assert payload_a == payload_b
 
 
-@pytest.mark.parametrize("machines,bags", [(3, 5), (4, 2), (2, 3)])
+def _randint_trials(seed, machines, trials):
+    # The raw speeds of each trial as random.Random.randint draws them, sorted down.
+    rng = random.Random(seed)
+    for _ in range(trials):
+        raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        while not any(raw):
+            raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
+        yield sorted(raw, reverse=True)
+
+
+@pytest.mark.parametrize("machines,bags", [(m, b) for m in range(1, 7) for b in range(1, 2 * m + 1)])
 def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch, machines, bags):
     # Shaved below the tight factor every adversary configuration and some random
     # trials fail; the one kernel path must fail on the same cases, in the same
@@ -371,26 +381,37 @@ def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch,
     monkeypatch.setattr(verify, "sand_robustness", lambda m, b: shaved)
     scale = machines**bags
     profile = sand_bags(machines, bags, scale)
+    configs = adversary_configs(machines, bags)
     reason = "greedy assignment failed at the tight factor"
-    expected = [{"kind": "adversary", "config": k,
-                 "speeds": [format_rational(s) for s in config.speeds], "reason": reason}
-                for k, config in enumerate(adversary_configs(machines, bags))
-                if greedy_assignment(profile, config, shaved) is None]
-    assert len(expected) == bags
-    rng = random.Random(5)
-    for t in range(200):
-        raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
-        while not any(raw):
-            raw = [rng.randint(0, verify.RANDOM_SPEED_GRAIN) for _ in range(machines)]
-        speeds = SpeedProfile(Fraction(r * scale, sum(raw)) for r in raw)
-        if greedy_assignment(profile, speeds, shaved) is None:
-            expected.append({"kind": "random", "trial": t,
-                             "speeds": [format_rational(s) for s in speeds.speeds],
-                             "reason": reason})
-    report = verify_sand_upper(machines, bags, trials=200, seed=5)
-    assert report.failures == expected
-    assert report.checked == bags + 200
-    assert 0 < len(expected) - bags < 200, len(expected)
+    for seed in (5, verify.CAMPAIGN_SEED):
+        expected = [{"kind": "adversary", "config": k,
+                     "speeds": [format_rational(s) for s in config.speeds], "reason": reason}
+                    for k, config in enumerate(configs)
+                    if greedy_assignment(profile, config, shaved) is None]
+        assert len(expected) == len(configs)
+        for t, raw in enumerate(_randint_trials(seed, machines, 200)):
+            speeds = SpeedProfile(Fraction(r * scale, sum(raw)) for r in raw)
+            if greedy_assignment(profile, speeds, shaved) is None:
+                expected.append({"kind": "random", "trial": t,
+                                 "speeds": [format_rational(s) for s in speeds.speeds],
+                                 "reason": reason})
+        report = verify_sand_upper(machines, bags, trials=200, seed=seed)
+        assert report.failures == expected
+        assert report.checked == len(configs) + 200
+        if (machines, bags) in [(3, 5), (4, 2), (2, 3)]:  # cells where some trials fail, not all
+            assert 0 < len(expected) - bags < 200, len(expected)
+
+
+def test_sand_trials_draw_what_randint_draws(monkeypatch):
+    # The sweep draws each raw speed from getrandbits as CPython's randint(0, grain) does.
+    # Below any factor a bag fits at, every trial fails, and its record shows the draw.
+    monkeypatch.setattr(verify, "sand_robustness", lambda m, b: Fraction(1, 10**9))
+    for seed in range(300):
+        machines = 2 + seed % 5
+        expected = [[format_rational(Fraction(r * machines**2, sum(raw))) for r in raw]
+                    for raw in _randint_trials(seed, machines, 20)]
+        report = verify_sand_upper(machines, 2, trials=20, seed=seed)
+        assert [f["speeds"] for f in report.failures if f["kind"] == "random"] == expected, seed
 
 
 def test_sand_campaign_flags_insufficient_factor():
