@@ -269,7 +269,7 @@ def robust_bags(jobs: int, machines: int, bags: int) -> BagProfile:
     after P jobs), so the profile skips the checks and re-sort of ``BagProfile``.
     """
     exact_ints(1, jobs=jobs, machines=machines, bags=bags)
-    if Fraction(jobs, machines) <= PEBBLES_CUTOVER:
+    if jobs <= PEBBLES_CUTOVER * machines:
         solution = bricks_bags(jobs, machines, bags, BRICK_ROBUSTNESS)
         if solution.successful:
             starts = accumulate(solution.bag_sizes, initial=0)

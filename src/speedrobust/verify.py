@@ -117,9 +117,12 @@ def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[l
     and failures list ``parts``, never caps.  A part p branched on is above
     every chosen cap, so it is the new largest and pays bag k at once: the
     child starts at bag k + 1 with the cap p - cost added, or, if p < cost,
-    its completions are listed as failures at the branch, in walk order.
+    its completions are listed as failures at the branch, in walk order.  A
+    part that pays the last bag enters no child: the count of its
+    completions is added at the branch.
     """
     costs = [c for c in costs if c]
+    bags = len(costs)
     counts: dict[tuple[int, int, int], int] = {}
     checked = 0
     failing: list[list[int]] = []
@@ -131,45 +134,48 @@ def _coin_walk(costs: list[int], total: int, machines: int) -> tuple[int, list[l
         if rest == 0 or slots == 1:
             return 1
         key = (rest, slots, cap)
-        if key not in counts:
+        n = counts.get(key)
+        if n is None:
             low = -(-rest // slots)
-            counts[key] = sum(count(rest - p, slots - 1, p) for p in range(low, cap + 1))
-        return counts[key]
+            n = counts[key] = sum(count(rest - p, slots - 1, p) for p in range(low, cap + 1))
+        return n
 
-    def fail(rest: int, slots: int, bound: int) -> None:  # list every completion of parts
+    def fail(prefix: list[int], rest: int, slots: int, bound: int) -> None:  # list every completion
         nonlocal checked
         before = len(failing)
-        failing.extend(parts + list(tail) + [0] * (slots - len(tail))
+        failing.extend(prefix + list(tail) + [0] * (slots - len(tail))
                        for tail in _partitions(rest, slots, bound))
         checked += len(failing) - before
 
     def walk(caps: list[int], k: int, rest: int, bound: int, slots: int) -> None:
         nonlocal checked
-        while k < len(costs):
+        while k < bags:
             top = -caps[0] if caps else 0
             cost = costs[k]
             if top < bound:
                 low = -(-rest // slots)  # the least next part that leaves room for the rest
-                for p in range(bound, max(top, low - 1), -1):
-                    parts.append(p)
+                for p in range(bound, top if top >= low else low - 1, -1):
                     left = rest - p
                     if p < cost:
-                        fail(left, slots - 1, min(p, left))
+                        fail(parts + [p], left, slots - 1, p)
+                    elif k + 1 == bags:  # p pays the last bag: its completions are counted here
+                        checked += 1 if left == 0 or slots == 2 else count(left, slots - 1, p)
                     else:
                         c2 = caps.copy()
                         heappush(c2, cost - p)
-                        walk(c2, k + 1, left, min(p, left), slots - 1)
-                    parts.pop()
+                        parts.append(p)
+                        walk(c2, k + 1, left, p if p < left else left, slots - 1)
+                        parts.pop()
                 if top < low:
                     return
                 bound = top
             elif top < cost:
-                fail(rest, slots, bound)
+                fail(parts, rest, slots, bound)
                 return
             else:
                 heapreplace(caps, cost - top)
                 k += 1
-        checked += count(rest, slots, bound)
+        checked += 1 if rest == 0 or slots == 1 else count(rest, slots, bound)
 
     walk([], 0, total, total, machines)
     return checked, failing
@@ -248,7 +254,9 @@ def verify_bricks_robustness(jobs: int, machines: int) -> VerificationReport:
     Grids with at most ``EXHAUSTIVE_PROFILES`` profiles walk them all with
     ``_coin_walk``: the assigners' integer kernel, on coin costs computed
     once, decides each profile, with the steps that profiles sharing a prefix
-    take alike run once, and no assignment is built.  Larger grids get the exact reachability test
+    take alike run once, and no assignment is built; a part that pays the
+    last bag adds the count of its completions where the walk branches on
+    it.  Larger grids get the exact reachability test
     of ``_coin_counterexample`` instead, which covers every profile at once:
     ``checked`` counts them all, and a failure is the one it constructs.
     """

@@ -76,6 +76,16 @@ MUTANTS = [
     Mutant(VERIFY, "if p < cost:", "if p <= cost:", WALK_TESTS, "killed"),
     Mutant(VERIFY, "heappush(c2, cost - p)", "heappush(c2, -p)", WALK_TESTS, "killed"),
     Mutant(VERIFY, "parts.pop()", "pass", WALK_TESTS, "killed"),
+    # The walk's count of a last bag's completions at its branch, and at a leaf.
+    Mutant(VERIFY, "1 if left == 0 or slots == 2 else", "1 if left == 0 or slots == 3 else", WALK_TESTS,
+           "killed"),
+    Mutant(VERIFY, "1 if rest == 0 or slots == 1 else", "1 if rest == 0 or slots == 2 else", WALK_TESTS,
+           "killed"),
+    Mutant(VERIFY, "elif k + 1 == bags:", "elif False:", WALK_TESTS,
+           "equivalent: a child that starts with every bag placed counts its completions"
+           " with the same count(left, slots - 1, p)"),
+    Mutant(VERIFY, "1 if left == 0 or slots == 2 else", "1 if slots == 2 else", WALK_TESTS,
+           "equivalent: count returns 1 for a rest of 0"),
     Mutant(VERIFY, "for r in range(k):", "for r in range(1, k):", PARTITION_TESTS, "killed"),
     Mutant(VERIFY, "row[r::k] = accumulate(row[r::k])", "row[r + k::k] = accumulate(row[r + k::k])",
            PARTITION_TESTS, "killed"),
@@ -87,7 +97,9 @@ MUTANTS = [
     Mutant(SECOND, "current >= best", "current > best", SEARCH_TESTS + THRESHOLD_TESTS,
            "equivalent: a node at the incumbent's time reaches only tying leaves, so going on"
            " changes at most which optimal leaf is returned"),
-    # The dispatcher's one-pass trim of the coin sizes, and decimal_string's sign.
+    # The dispatcher's cutover and one-pass trim of the coin sizes, and decimal_string's sign.
+    Mutant(BRICKS, "if jobs <= PEBBLES_CUTOVER * machines:", "if jobs < PEBBLES_CUTOVER * machines:",
+           TRIM_TESTS, "killed"),
     Mutant(BRICKS, "max(0, min(a, jobs - s))", "min(a, jobs - s)", TRIM_TESTS, "killed"),
     Mutant(BRICKS, "jobs - s)))", "jobs - s - 1)))", TRIM_TESTS, "killed"),
     Mutant(NUMERICS, "value < 0 and units", "value < 0", SIGN_TESTS, "killed"),

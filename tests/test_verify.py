@@ -233,6 +233,10 @@ def _kernel_on_every_partition(costs, total, machines):
        machines=st.integers(1, 10))
 @example(costs=[3], total=3, machines=1)  # the first part pays the first cost exactly
 @example(costs=[4, 1], total=4, machines=2)  # the first part is one below the first cost
+@example(costs=[2], total=2, machines=3)  # a part pays the last bag with nothing left
+@example(costs=[1], total=3, machines=2)  # a part pays the last bag with one slot left
+@example(costs=[1], total=6, machines=4)  # a part pays the last bag with completions to count
+@example(costs=[4], total=5, machines=3)  # the last bag is above some parts branched on: they fail
 def test_coin_walk_matches_the_kernel_on_every_partition(costs, total, machines):
     # any cost order, zeros anywhere: the walk must not lean on the dispatcher's sorted costs
     assert _coin_walk(costs, total, machines) == _kernel_on_every_partition(costs, total, machines)
