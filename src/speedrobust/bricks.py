@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import truediv
+from operator import sub, truediv
 
 from .model import BagProfile, FractionalSolution, Infeasible, SizeLimit
 from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
@@ -77,54 +77,33 @@ def _coin_totals(machines: int, top: int, rho_num: int, rho_den: int) -> list[in
     for rho = rho_num / rho_den, in plain integers, from one pass over the
     coin counts instead of one recurrence per n.
 
-    Without the bag cap, the level paid from c coins depends only on c:
-    z = ceil(c / m), x = ceil((c - m(z - 1)) / z) >= 1, and the next coin count
-    is c - x*z < c.  So the counts 0..top form a tree rooted at 0, and one pass
-    in increasing c fills ``bags[c]`` and ``size[c]``, the bags and the size
-    that the levels from c pay until the coins run out.
+    Per bag: a bag paid from c coins costs z = ceil(c / m) and leaves
+    f(c) = c - z.  A level of cost z pays x = ceil((c - m(z - 1)) / z) bags, and
+    each of them leaves more than m(z - 1) coins but the last, so the ceiling
+    stays z within the level: ``_coin_levels`` is f applied one bag at a time.
+    Let S(c) = S(f(c)) + floor(ceil(c / m) * rho) with S(0) = 0, the size the
+    bags from c pay until the coins run out.  The m bags from n then total
+    S(n) - S(F(n)), where F(n) = f^m(n) is the count left after them.
 
-    The capped recurrence from n walks n's path to the root.  It pays whole
-    levels while the bags used stay <= m, then m - used bags at the cost of
-    the next level.  ``bags`` strictly increases away from the root, so the cut
-    is the ancestor a with bags[a] >= bags[n] - m > bags[parent(a)], and the
-    total is size[n] - size[a] + (m - bags[n] + bags[a]) * floor(z_a * rho).
-    When bags[n] <= m no level is cut and the total is size[n].
-
-    The cut is found with skew-binary jump pointers (Myers, "An applicative
-    random-access stack", 1983): each node's jump is set in the same pass from
-    its parent's, and the search takes O(log depth) steps.
+    F has unit steps.  ceil(c / m) steps up exactly at c = 1 (mod m), so
+    f(c) - f(c - 1) = 1 - [c = 1 (mod m)], and along the paths of n and n - 1
+    the counts stay one apart until n's path meets a count = 1 (mod m), then
+    coincide.  So F(n) - F(n - 1) = 1 exactly when none of the first m counts
+    on n's path is 1 (mod m).  ``run[c]`` counts the counts on c's path before
+    the first such one: 0 at the first count m(z - 1) + 1 of each level, and
+    run[f(c)] + 1 otherwise.  F is the running sum of [run >= m].
     """
     m = machines
-    parent = [0] * (top + 1)
-    jump = [0] * (top + 1)
-    depth = [0] * (top + 1)
-    bags = [0] * (top + 1)
-    parent_bags = [0] * (top + 1)  # bags[parent[c]], read on every step of the search
     size = [0] * (top + 1)
-    level_size = [0] * (top + 1)  # floor(z * rho), the size of one bag of the level paid from c
-    totals = [0] * (top + 1)
-    for c in range(1, top + 1):
-        z = -(-c // m)
-        x = -(-(c - m * (z - 1)) // z)
-        p = c - x * z
-        unit = (z * rho_num) // rho_den
-        parent[c] = p
-        level_size[c] = unit
-        parent_bags[c] = bags[p]
-        b = bags[c] = bags[p] + x
-        total = size[c] = size[p] + x * unit
-        depth[c] = depth[p] + 1
-        j = jump[p]
-        jump[c] = jump[j] if depth[p] - depth[j] == depth[j] - depth[jump[j]] else p
-        if b > m:
-            least = b - m  # bags[a] >= least: the levels below the cut fit in m bags
-            a = c
-            while parent_bags[a] >= least:
-                j = jump[a]
-                a = j if bags[j] >= least else parent[a]
-            total += (m - b + bags[a]) * level_size[a] - size[a]
-        totals[c] = total
-    return totals
+    run = [0] * (top + 1)
+    for z in range(1, -(-top // m) + 1):
+        unit = (z * rho_num) // rho_den  # floor(z * rho), the size of one bag of cost z
+        first = m * (z - 1) + 1
+        size[first] = size[first - z] + unit
+        for c in range(first + 1, min(first + m, top + 1)):
+            size[c] = size[c - z] + unit
+            run[c] = run[c - z] + 1
+    return list(map(sub, size, map(size.__getitem__, accumulate(map(m.__le__, run)))))
 
 
 def bricks_bags(jobs: int, machines: int, bags: int, rho: Fraction) -> BrickSolution:

@@ -47,6 +47,7 @@ SIGN_TESTS = ("tests/test_bricks.py::test_decimal_string_rounding",)
 TOTALS_TESTS = (
     "tests/test_verify.py::test_coin_totals_match_the_per_cell_recurrence",
     "tests/test_verify.py::test_fast_sweep_size_matches_library_route",
+    "tests/test_verify.py::test_coins_left_after_m_bags_step_by_one_unless_the_path_meets_1_mod_m",
 )
 PROBE_TESTS = ("tests/test_sand.py",)
 DRAW_TESTS = (
@@ -103,10 +104,11 @@ MUTANTS = [
     Mutant(BRICKS, "max(0, min(a, jobs - s))", "min(a, jobs - s)", TRIM_TESTS, "killed"),
     Mutant(BRICKS, "jobs - s)))", "jobs - s - 1)))", TRIM_TESTS, "killed"),
     Mutant(NUMERICS, "value < 0 and units", "value < 0", SIGN_TESTS, "killed"),
-    # The success sweep's cut level in _coin_totals: dropped, or priced at n rather than at the cut.
-    Mutant(BRICKS, "total += (m - b + bags[a]) * level_size[a] - size[a]", "total += -size[a]",
-           TOTALS_TESTS, "killed"),
-    Mutant(BRICKS, "* level_size[a] - size[a]", "* level_size[c] - size[a]", TOTALS_TESTS, "killed"),
+    # The success sweep's F in _coin_totals: the run threshold, the run's reset at each level's
+    # first count, and F read one count off.
+    Mutant(BRICKS, "m.__le__", "m.__lt__", TOTALS_TESTS, "killed"),
+    Mutant(BRICKS, "range(first + 1,", "range(first,", TOTALS_TESTS, "killed"),
+    Mutant(BRICKS, "run))))", "run), initial=0)))", TOTALS_TESTS, "killed"),
     # The pebbles kernel's bag ends, its sizes and packed_all, and the dispatcher's guard on range().
     Mutant(PEBBLES, ", i) - 1", ", i)", ("tests/test_pebbles.py",), "killed"),
     Mutant(PEBBLES, "zip([0] + ends, ends)", "zip([1] + ends, ends)",

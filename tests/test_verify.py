@@ -14,6 +14,7 @@ from speedrobust.bricks import robust_bags
 from speedrobust.second_stage import _largest_first, greedy_assignment, integral_assignment
 from speedrobust.second_stage import optimal_second_stage
 from speedrobust.verify import (
+    CAMPAIGNS,
     EXHAUSTIVE_PROFILES,
     _coin_walk,
     _partitions,
@@ -119,6 +120,83 @@ def test_coin_totals_edge_cases(m, top):
         assert _coin_totals(m, top, 8, 5) == list(range(top + 1))
     if m == 1:
         assert _coin_totals(1, top, 8, 5) == [8 * n // 5 for n in range(top + 1)]
+
+
+def _per_bag_path(jobs: int, machines: int) -> list[int]:
+    """The coin counts before and after each of ``machines`` bags: c, then f(c) = c - ceil(c / m)."""
+    path = [jobs]
+    for _ in range(machines):
+        coins = path[-1]
+        path.append(coins - -(-coins // machines))
+    return path
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.integers(1, 60).flatmap(lambda m: st.tuples(st.just(m), st.integers(1, 60 * m))))
+@example(cell=(1, 1))
+@example(cell=(1, 37))
+def test_coins_left_after_m_bags_step_by_one_unless_the_path_meets_1_mod_m(cell):
+    # the lemma behind _coin_totals, on the per-bag recurrence alone; m = 1 has every count 1 (mod m)
+    m, n = cell
+    path, before = _per_bag_path(n, m), _per_bag_path(n - 1, m)
+    step = path[m] - before[m]
+    assert step in (0, 1)
+    assert step == all(c % m != 1 % m for c in path[:m]), (n, m, path)
+    # the per-bag form pays the levels of _coin_levels: the same total size
+    assert sum(-(-c // m) * 8 // 5 for c in path[:m]) == _coin_total(n, m, 8, 5)
+
+
+def _jump_pointer_totals(machines: int, top: int, rho_num: int, rho_den: int) -> list[int]:
+    """Reference: ``_coin_totals`` as a level tree with a jump-pointer search for each cell's cut.
+
+    The coin counts form a tree (each level's next count is smaller); the
+    capped total for n is size[n] - size[a] plus the bags of a's level that
+    still fit, where a is the ancestor at which n's path uses up the m bags,
+    found with skew-binary jump pointers (Myers, 1983).
+    """
+    m = machines
+    parent = [0] * (top + 1)
+    jump = [0] * (top + 1)
+    depth = [0] * (top + 1)
+    bags = [0] * (top + 1)
+    parent_bags = [0] * (top + 1)
+    size = [0] * (top + 1)
+    level_size = [0] * (top + 1)
+    totals = [0] * (top + 1)
+    for c in range(1, top + 1):
+        z = -(-c // m)
+        x = -(-(c - m * (z - 1)) // z)
+        p = c - x * z
+        unit = (z * rho_num) // rho_den
+        parent[c] = p
+        level_size[c] = unit
+        parent_bags[c] = bags[p]
+        b = bags[c] = bags[p] + x
+        total = size[c] = size[p] + x * unit
+        depth[c] = depth[p] + 1
+        j = jump[p]
+        jump[c] = jump[j] if depth[p] - depth[j] == depth[j] - depth[jump[j]] else p
+        if b > m:
+            least = b - m
+            a = c
+            while parent_bags[a] >= least:
+                j = jump[a]
+                a = j if bags[j] >= least else parent[a]
+            total += (m - b + bags[a]) * level_size[a] - size[a]
+        totals[c] = total
+    return totals
+
+
+def test_coin_totals_equal_the_jump_pointer_kernel_on_the_success_range_grid():
+    # every verdict of the success-range campaign, n = 0 included
+    grid = CAMPAIGNS["success-range"].grid
+    rho = BRICK_ROBUSTNESS.numerator, BRICK_ROBUSTNESS.denominator
+    entries = 0
+    for m in range(1, grid["m_max"] + 1):
+        totals = _coin_totals(m, grid["lambda_max"] * m, *rho)
+        assert totals == _jump_pointer_totals(m, grid["lambda_max"] * m, *rho), m
+        entries += len(totals)
+    assert entries == 626_544
 
 
 def test_success_range_clean_at_target_factor():
