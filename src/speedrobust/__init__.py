@@ -30,14 +30,7 @@ from .model import (
 )
 from .numerics import ceil_div, floor_scale, format_rational, parse_rational
 from .pebbles import PebblesResult, pebble_ratio, pebbles_bags
-from .sand import (
-    GeometricSkeleton,
-    adversary_configs,
-    geometric_skeleton,
-    lower_bound_probe,
-    sand_bags,
-    sand_robustness,
-)
+from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import (
     greedy_assignment,
     integral_assignment,

@@ -17,7 +17,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import sub, truediv
 
-from .model import BagProfile, FractionalSolution, Infeasible, SizeLimit
+from .model import BagProfile, FractionalSolution, Infeasible, SizeLimit, _require
 from .numerics import _ceil_div, _to_common_ints, exact_factor, exact_ints
 from .pebbles import _pack
 from .sand import sand_robustness
@@ -25,6 +25,7 @@ from .sand import sand_robustness
 BRICK_ROBUSTNESS = Fraction(8, 5)
 
 PEBBLES_CUTOVER = 60  # jobs-per-machine ratio above which the dispatcher switches
+_SOLUTION = (FractionalSolution,)  # bound at import, see model._require
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,9 @@ def solution_size(solution: FractionalSolution, rho: Fraction) -> Fraction:
 
     Summed in integers over the counts' common denominator, so each level
     costs one integer product rather than a ``Fraction`` product and sum.
+    Raises ValueError unless ``solution`` is a FractionalSolution.
     """
+    _require("solution_size", (solution,), _SOLUTION)
     rho = exact_factor(rho)
     num, den = rho.numerator, rho.denominator
     counts, d = _to_common_ints(solution.counts.values())

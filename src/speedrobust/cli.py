@@ -35,13 +35,7 @@ from .bricks import (
 from .model import BagProfile, Instance, SpeedProfile, makespan
 from .numerics import decimal_string, exact_factor, exact_rational, format_rational, parse_rational
 from .pebbles import pebbles_bags
-from .sand import (
-    adversary_configs,
-    adversary_optima,
-    geometric_skeleton,
-    sand_bags,
-    sand_robustness,
-)
+from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
 from .verify import CAMPAIGNS, Campaign
 
@@ -179,17 +173,18 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    optima = adversary_optima(args.m, args.b, BagProfile(args.bags) if args.bags is not None else None)
-    skeleton = geometric_skeleton(args.m, args.b)
+    profile = BagProfile(args.bags) if args.bags is not None else None
+    value = lower_bound_probe(args.m, args.b, profile)
+    if profile is None:
+        profile = sand_bags(args.m, args.b, args.m**args.b)
     bound = sand_robustness(args.m, args.b)
-    value = max(optima)
     rows = []
-    for k, (config, best) in enumerate(zip(adversary_configs(args.m, args.b), optima)):
+    for k, config in enumerate(adversary_configs(args.m, args.b)):
         rows.append({
             "config": k,
-            "weight": str(skeleton.weights[k]),
+            "weight": format_rational(config.speeds[-1]),
             "speeds": " ".join(format_rational(s) for s in config.speeds),
-            "best_makespan": format_rational(best),
+            "best_makespan": format_rational(optimal_second_stage(profile, config)[0]),
             "probe": format_rational(value),
             "tight_bound": format_rational(bound),
         })

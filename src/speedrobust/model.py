@@ -162,14 +162,31 @@ class FractionalSolution:
         return solution
 
 
+def _require(caller: str, values: tuple, kinds: tuple[type, ...]) -> None:
+    """Raise ValueError naming the expected class unless each value is an instance of its kind.
+
+    Callers pass ``kinds`` as a tuple bound at import: a profiler that
+    rebinds a module's name for a class to a timing wrapper leaves the tuple
+    intact, where ``isinstance`` of the wrapper would raise TypeError.
+    """
+    for value, kind in zip(values, kinds):
+        if not isinstance(value, kind):
+            raise ValueError(f"{caller}: expected {kind.__name__}, got {type(value).__name__}")
+
+
+_MAKESPAN_ARGS = (Assignment, BagProfile, SpeedProfile)
+
+
 def makespan(assignment: Assignment, bags: BagProfile, speeds: SpeedProfile) -> Fraction:
     """Largest machine completion time (assigned size over speed) of an assignment.
 
     Machines of speed 0 accept only zero-size bags; a positive bag there makes
     the assignment invalid.  Loads are summed as integers over the sizes'
     common denominator, each load / speed is compared with the largest so far
-    by cross-multiplying, and one ``Fraction`` is built at the end.
+    by cross-multiplying, and one ``Fraction`` is built at the end.  Raises
+    ValueError unless given an Assignment, a BagProfile and a SpeedProfile.
     """
+    _require("makespan", (assignment, bags, speeds), _MAKESPAN_ARGS)
     if len(assignment.machine_of_bag) != len(bags.sizes):
         raise InvalidAssignment(
             f"assignment covers {len(assignment.machine_of_bag)} bags, profile has {len(bags.sizes)}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 
-from .model import Instance
+from .model import Instance, _require
 from .numerics import _to_common_ints, exact_factor
 
 
@@ -34,8 +34,12 @@ class PebblesResult:
     packed_all: bool
 
 
+_INSTANCE = (Instance,)  # bound at import, see model._require
+
+
 def pebble_ratio(instance: Instance) -> Fraction:
     """Largest job relative to the average machine load (the q of a q-pebbles instance)."""
+    _require("pebble_ratio", (instance,), _INSTANCE)
     return max(instance.job_sizes) * instance.machine_count / sum(instance.job_sizes)
 
 
@@ -73,8 +77,9 @@ def pebbles_bags(instance: Instance, rho: Fraction) -> PebblesResult:
     remain after the last bag, the signal that ``rho`` was too small for this
     instance.  The jobs are scaled to integers by the lcm d of their
     denominators and packed by :func:`_pack`; bag sizes are the scaled sums
-    divided by d.
+    divided by d.  Raises ValueError unless ``instance`` is an Instance.
     """
+    _require("pebbles_bags", (instance,), _INSTANCE)
     rho = exact_factor(rho, least=1)
     scaled, d = _to_common_ints(instance.job_sizes)
     prefix = list(accumulate(scaled, initial=0))

@@ -13,14 +13,12 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile
+from .model import Assignment, BagProfile, Infeasible, SizeLimit, SpeedProfile, _require
 from .numerics import _to_common_ints, exact_factor, whole_numbers
 
 MAX_ORACLE_BAGS = 16
 MAX_ORACLE_MACHINES = 8
-# The oracle's argument classes, held in a tuple: a profiler that rebinds a module's name for a
-# class to a timing wrapper leaves this check intact.
-_ORACLE_ARGS = (BagProfile, SpeedProfile)
+_PROFILES = (BagProfile, SpeedProfile)  # bound at import, see model._require
 
 
 def _first_positive(speeds: Sequence[Fraction | int]) -> int:
@@ -115,8 +113,10 @@ def greedy_assignment(
     Capacities start at ``rho`` times each speed.  Returns None as soon as a
     positive-size bag does not fit on the best machine, which signals that
     ``rho`` is too small for this profile pair.  On success every capacity
-    stays non-negative, so the makespan is at most ``rho``.
+    stays non-negative, so the makespan is at most ``rho``.  Raises
+    ValueError unless ``bags`` is a BagProfile and ``speeds`` a SpeedProfile.
     """
+    _require("greedy_assignment", (bags, speeds), _PROFILES)
     rho = exact_factor(rho)
     sizes, size_unit = _to_common_ints(bags.sizes)
     ints, speed_unit = _to_common_ints(speeds.speeds)
@@ -246,9 +246,7 @@ def optimal_second_stage(bags: BagProfile, speeds: SpeedProfile) -> tuple[Fracti
     SizeLimit beyond that rather than degrading to an approximation.  Raises
     ValueError unless ``bags`` is a BagProfile and ``speeds`` a SpeedProfile.
     """
-    for arg, kind in zip((bags, speeds), _ORACLE_ARGS):
-        if not isinstance(arg, kind):
-            raise ValueError(f"the oracle takes a {kind.__name__}, got {type(arg).__name__}")
+    _require("optimal_second_stage", (bags, speeds), _PROFILES)
     _check_oracle_size(len(bags.sizes), len(speeds.speeds))
     # Sorted profiles: the positive sizes and speeds are prefixes, so owners need no remap; 0 is live.
     active = [a for a in bags.sizes if a > 0]

@@ -36,6 +36,7 @@ class Mutant(NamedTuple):
 
 
 BRICKS = "src/speedrobust/bricks.py"
+CLI = "src/speedrobust/cli.py"
 MODEL = "src/speedrobust/model.py"
 NUMERICS = "src/speedrobust/numerics.py"
 PEBBLES = "src/speedrobust/pebbles.py"
@@ -50,6 +51,7 @@ TOTALS_TESTS = (
     "tests/test_verify.py::test_coins_left_after_m_bags_step_by_one_unless_the_path_meets_1_mod_m",
 )
 PROBE_TESTS = ("tests/test_sand.py",)
+WEIGHT_TESTS = ("tests/test_sand.py::test_adversary_and_sand_bags_run_at_the_former_skeleton_weights",)
 DRAW_TESTS = (
     "tests/test_verify.py::test_sand_trials_draw_what_randint_draws",
     "tests/test_verify.py::test_sand_campaign_random_trials_match_greedy_on_speed_profiles",
@@ -73,6 +75,12 @@ MUTANTS = [
     Mutant(SAND, "if total * unit <= top * speeds[0]:", "if total * unit < top * speeds[0]:", PROBE_TESTS,
            "equivalent: a configuration whose all-on-the-fastest makespan ties M has its optimum"
            " at most M, so searching it cannot raise the maximum"),
+    # The adversary's one weight kernel: the fast speed, the weight step, and the CLI's weight column.
+    Mutant(SAND, "[scale - (machines - 1) * w]", "[scale - machines * w]", WEIGHT_TESTS, "killed"),
+    Mutant(SAND, "w = w // machines * (machines - 1)", "w = w // machines * machines", WEIGHT_TESTS,
+           "killed"),
+    Mutant(CLI, "config.speeds[-1]", "config.speeds[0]",
+           ("tests/test_cli.py::test_probe_reports_weight_sequence",), "killed"),
     # The coin walk's branch on a new part, and partition_count's running sums.
     Mutant(VERIFY, "if p < cost:", "if p <= cost:", WALK_TESTS, "killed"),
     Mutant(VERIFY, "heappush(c2, cost - p)", "heappush(c2, -p)", WALK_TESTS, "killed"),

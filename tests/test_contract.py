@@ -8,8 +8,11 @@ factor arguments with theirs (None for any positive rational).  Each count
 and each factor is replaced in turn by values of the wrong type or out of
 range, and the call must raise ``ValueError`` or a subclass of it.  A
 replacement in range must give a result or one of those errors, never
-another exception.  Huge sizes are out of scope: without ``SizeLimit``
-guards some calls would not end.
+another exception.  Each argument that takes one of the library's value
+objects (a profile, an assignment, an instance or a solution) is replaced in
+turn by a plain list, tuple and dict, and the call must raise ``ValueError``
+naming the class it expected.  Huge sizes are out of scope: without
+``SizeLimit`` guards some calls would not end.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ import pytest
 
 import speedrobust as sr
 from speedrobust.numerics import decimal_string, exact_factor
-from speedrobust.sand import adversary_optima
 
 RHO = Fraction(8, 5)
 
@@ -47,8 +49,6 @@ CONTRACT: dict[str, Entry] = {
     "SurplusPoint": Entry(sr.SurplusPoint, {"lam": Fraction(1), "surplus": Fraction(0)}),
     "PebblesResult": Entry(sr.PebblesResult, {"bag_ends": (1,), "bag_sizes": (Fraction(1),),
                                               "packed_all": True}),
-    "GeometricSkeleton": Entry(sr.GeometricSkeleton, {"machines": 2, "bags": 2, "weights": (2, 1),
-                                                      "scale": 4, "weight_total": 3}),
     "VerificationReport": Entry(sr.VerificationReport, {"grid": {}, "checked": 0, "failures": [],
                                                         "elapsed_ms": 0}),
     "Infeasible": Entry(sr.Infeasible, {}),
@@ -70,16 +70,12 @@ CONTRACT: dict[str, Entry] = {
     "Instance": Entry(sr.Instance, {"job_sizes": [1, 1], "machine_count": 2, "bag_count": 2},
                       {"machine_count": 1, "bag_count": 1}),
     # sand and pebbles
-    "geometric_skeleton": Entry(sr.geometric_skeleton, {"machines": 2, "bags": 3},
-                                {"machines": 1, "bags": 1}),
     "sand_robustness": Entry(sr.sand_robustness, {"machines": 2, "bags": 3},
                              {"machines": 1, "bags": 1}),
     "adversary_configs": Entry(sr.adversary_configs, {"machines": 2, "bags": 3},
                                {"machines": 1, "bags": 1}),
     "sand_bags": Entry(sr.sand_bags, {"machines": 2, "bags": 3, "total": 7},
                        {"machines": 1, "bags": 1}, {"total": None}),
-    "adversary_optima": Entry(adversary_optima, {"machines": 2, "bags": 3},
-                              {"machines": 1, "bags": 1}),
     "lower_bound_probe": Entry(sr.lower_bound_probe,
                                {"machines": 2, "bags": 2, "profile": sr.sand_bags(2, 2, 4)},
                                {"machines": 1, "bags": 1}),
@@ -126,10 +122,13 @@ CONTRACT: dict[str, Entry] = {
                                {"machines": 1, "bags": 1, "trials": 0, "seed": None}),
 }
 
-CLI_CALLABLES = {"adversary_optima", "decimal_string"}
+CLI_CALLABLES = {"decimal_string"}
 
 COUNT_SWAPS = [True, 2.0, Fraction(3, 2), "2", 0, -1]
 FACTOR_SWAPS = [1.6, 0.5, True, False, 0, -1, Fraction(1, 2)]
+# Every argument that takes one of the library's value objects gets these plain values instead.
+OBJECTS = (sr.Assignment, sr.BagProfile, sr.SpeedProfile, sr.Instance, sr.FractionalSolution)
+OBJECT_SWAPS = [[2, 1], (0, 1), {2: 1}]
 
 
 def _public_callables() -> set[str]:
@@ -182,6 +181,30 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
             call()
 
 
+def _object_swaps():
+    for name, entry in sorted(CONTRACT.items()):
+        for arg, value in entry.args.items():
+            if isinstance(value, OBJECTS):
+                for plain in OBJECT_SWAPS:
+                    yield pytest.param(name, arg, plain, id=f"{name}-{arg}={plain!r}")
+
+
+def test_every_object_argument_is_swept():
+    assert {(p.values[0], p.values[1]) for p in _object_swaps()} == {
+        ("makespan", "assignment"), ("makespan", "bags"), ("makespan", "speeds"),
+        ("optimal_second_stage", "bags"), ("optimal_second_stage", "speeds"),
+        ("greedy_assignment", "bags"), ("greedy_assignment", "speeds"),
+        ("lower_bound_probe", "profile"), ("pebble_ratio", "instance"),
+        ("pebbles_bags", "instance"), ("solution_size", "solution")}
+
+
+@pytest.mark.parametrize("name,arg,plain", _object_swaps())
+def test_a_plain_value_for_an_object_raises_value_error(name, arg, plain):
+    entry = CONTRACT[name]
+    with pytest.raises(ValueError, match=type(entry.args[arg]).__name__):
+        entry.call(**{**entry.args, arg: plain})
+
+
 @pytest.mark.parametrize("call", [
     lambda: sr.floor_scale(2.0, RHO),  # returned 3.0
     lambda: sr.ceil_div(3.0, 2),  # returned 2.0
@@ -216,11 +239,17 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
     lambda: sr.Assignment({1: "a", 0: "b"}),  # stored machines (1, 0), the keys
     lambda: sr.makespan(sr.Assignment(b"\x00\x00"), sr.BagProfile([1, 1]), sr.SpeedProfile([1])),  # returned 2
     lambda: sr.lower_bound_probe(2, 2, [2, 2]),  # raised AttributeError
-    lambda: adversary_optima(2, 2, [2, 2]),  # raised AttributeError
     lambda: sr.optimal_second_stage([2, 1], sr.SpeedProfile([1])),  # raised AttributeError
     lambda: sr.optimal_second_stage(sr.BagProfile([2, 1]), [1]),  # raised AttributeError
     lambda: sr.sand_bags(1, 10**12, 1),  # ran out of memory building 10**12 sizes
-    lambda: sr.geometric_skeleton(1, 10**12),  # ran out of memory building 10**12 weights
+    lambda: sr.adversary_configs(1, 10**12),  # ran out of memory building 10**12 weights
+    lambda: sr.greedy_assignment([2, 1], sr.SpeedProfile([1]), RHO),  # raised AttributeError
+    lambda: sr.greedy_assignment(sr.BagProfile([2, 1]), [1], RHO),  # raised AttributeError
+    lambda: sr.makespan(sr.Assignment([0]), [1], sr.SpeedProfile([1])),  # raised AttributeError
+    lambda: sr.makespan((0,), sr.BagProfile([1]), sr.SpeedProfile([1])),  # raised AttributeError
+    lambda: sr.pebbles_bags([1, 1], 2),  # raised AttributeError
+    lambda: sr.pebble_ratio([1, 1]),  # raised AttributeError
+    lambda: sr.solution_size({2: 1}, RHO),  # raised AttributeError
 ], ids=["floor_scale", "ceil_div", "integral_size", "integral_speed", "bricks_bags", "instance",
         "sand_upper_bool", "sand_upper_float", "success_range_rho", "enumerate_zero",
         "enumerate_float", "format_float", "format_bool", "decimal_float", "assignment_index",
@@ -228,8 +257,9 @@ def test_a_bad_count_or_factor_raises_value_error(name, arg, value, refused):
         "speeds_complex", "format_none", "factor_list", "bags_infinite_decimal", "bags_bytes",
         "speeds_bytearray", "bags_mapping", "integral_bytes", "assignment_bytes",
         "assignment_bytearray", "assignment_mapping", "makespan_bytes", "probe_list",
-        "optima_list", "oracle_bag_list", "oracle_speed_list", "sand_bags_one_machine",
-        "skeleton_one_machine"])
+        "oracle_bag_list", "oracle_speed_list", "sand_bags_one_machine", "configs_one_machine",
+        "greedy_bag_list", "greedy_speed_list", "makespan_bag_list", "makespan_assignment_tuple",
+        "pebbles_list", "pebble_ratio_list", "solution_size_dict"])
 def test_calls_that_once_answered_wrongly_raise_value_error(call):
     with pytest.raises(ValueError):
         call()

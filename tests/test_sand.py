@@ -8,28 +8,51 @@ from hypothesis import given, settings, strategies as st
 
 from speedrobust import sand
 from speedrobust.model import BagProfile, ScaleMismatch, SizeLimit, SpeedProfile
-from speedrobust.sand import (
-    adversary_configs,
-    adversary_optima,
-    geometric_skeleton,
-    lower_bound_probe,
-    sand_bags,
-    sand_robustness,
-)
+from speedrobust.sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from speedrobust.second_stage import greedy_assignment, optimal_second_stage
 from speedrobust.verify import _partitions
 
 
-def test_skeleton_prefix_sums_exact():
-    # sum(weights[:k]) == scale - (machines-1) * weights[k-1], all m, b up to 20
+def former_skeleton(m, b):
+    """The weights, scale and weight total as the library's former ``geometric_skeleton`` built them."""
+    weights = []
+    w = m ** (b - 1)
+    for _ in range(b):
+        weights.append(w)
+        w = w // m * (m - 1)
+    scale = m**b
+    return tuple(weights), scale, scale - (m - 1) ** b
+
+
+def test_adversary_and_sand_bags_run_at_the_former_skeleton_weights():
+    # all m, b up to 20: the slow speeds are the weights (a single machine faces one configuration,
+    # at w_0 = 1), the weights are the sand bags summing to the weight total, and
+    # sum(weights[:k]) == scale - (m - 1) * weights[k - 1]
     for m in range(1, 21):
         for b in range(1, 21):
-            sk = geometric_skeleton(m, b)
+            weights, scale, weight_total = former_skeleton(m, b)
+            configs = adversary_configs(m, b)
+            assert len(configs) == (b if m > 1 else 1)
+            assert [c.speeds[-1] for c in configs] == list(weights[: len(configs)])
+            assert all(sum(c.speeds) == scale for c in configs)
+            assert sand_bags(m, b, weight_total).sizes == weights
             prefix = 0
             for k in range(b):
-                prefix += sk.weights[k]
-                assert prefix == sk.scale - (m - 1) * sk.weights[k]
-            assert prefix == sk.weight_total
+                prefix += weights[k]
+                assert prefix == scale - (m - 1) * weights[k]
+            assert prefix == weight_total
+
+
+def test_probe_defaults_to_the_sand_profile():
+    # all m, b up to 20: past the oracle's caps both calls raise SizeLimit
+    for m in range(1, 21):
+        for b in range(1, 21):
+            if m > 8 or b > 16:
+                for profile in (None, sand_bags(m, b, m**b)):
+                    with pytest.raises(SizeLimit):
+                        lower_bound_probe(m, b, profile)
+            else:
+                assert lower_bound_probe(m, b) == lower_bound_probe(m, b, sand_bags(m, b, m**b))
 
 
 def test_robustness_factor_known_values():
@@ -50,8 +73,8 @@ def test_robustness_factor_increasing_and_below_limit():
 def test_robustness_factor_is_the_skeleton_ratio():
     for m in range(1, 7):
         for b in range(1, 13):
-            sk = geometric_skeleton(m, b)
-            assert sand_robustness(m, b) == Fraction(sk.scale, sk.weight_total)
+            _, scale, weight_total = former_skeleton(m, b)
+            assert sand_robustness(m, b) == Fraction(scale, weight_total)
 
 
 def test_robustness_factor_of_one_machine_builds_no_weights():
@@ -68,12 +91,12 @@ def test_sand_bags_known_profiles():
     assert sizes == (Fraction(7, 3), 0, 0)
 
 
-def test_sand_bags_builds_no_skeleton(monkeypatch):
-    # the first size comes from the closed form, not from a list of b big-integer weights
+def test_sand_bags_builds_no_weights(monkeypatch):
+    # the first size comes from the closed form, not from the adversary's b big-integer weights
     def refuse(machines, bags):
-        raise AssertionError("sand_bags built a skeleton")
+        raise AssertionError("sand_bags walked the weights")
 
-    monkeypatch.setattr(sand, "geometric_skeleton", refuse)
+    monkeypatch.setattr(sand, "_adversary_speeds", refuse)
     assert sand_bags(2, 4, 15).sizes == (8, 4, 2, 1)
     assert sand_bags(3, 3, 19).sizes == (9, 6, 4)
 
@@ -90,11 +113,13 @@ def test_skeleton_and_sizes_match_the_closed_forms():
     # first size; both must equal the closed forms m**(b-j) * (m-1)**(j-1) and w * total / weight_total
     for m, b in [(3, 400), (7, 40), (2, 64), *((m, b) for m in range(1, 9) for b in range(1, 17))]:
         weights = tuple(m ** (b - j) * (m - 1) ** (j - 1) for j in range(1, b + 1))
-        sk = geometric_skeleton(m, b)
-        assert sk.weights == weights
-        assert sk.weight_total == sum(weights) == m**b - (m - 1) ** b
+        former, _, weight_total = former_skeleton(m, b)
+        assert former == weights
+        assert weight_total == sum(weights) == m**b - (m - 1) ** b
+        if m > 1:
+            assert [c.speeds[-1] for c in adversary_configs(m, b)] == list(weights)
         for total in (1, Fraction(7, 3), m**b):
-            closed = BagProfile([Fraction(w, sk.weight_total) * total for w in weights])
+            closed = BagProfile([Fraction(w, weight_total) * total for w in weights])
             assert sand_bags(m, b, total) == closed
     with pytest.raises(ValueError, match="0.5"):
         sand_bags(2, 2, 0.5)
@@ -145,12 +170,12 @@ def test_adversary_configs_known_values():
 
 @given(st.integers(min_value=2, max_value=7), st.integers(min_value=1, max_value=8))
 def test_adversary_configs_sum_to_scale(m, b):
-    sk = geometric_skeleton(m, b)
+    weights, scale, _ = former_skeleton(m, b)
     configs = adversary_configs(m, b)
     assert len(configs) == b
     for k, config in enumerate(configs):
-        assert sum(config.speeds) == sk.scale
-        assert config.speeds[0] >= sk.weights[k]
+        assert sum(config.speeds) == scale
+        assert config.speeds[0] >= weights[k]
 
 
 @settings(max_examples=25, deadline=None)
@@ -210,9 +235,7 @@ def test_probe_equals_former_per_configuration_oracle(m, b, integral, seed):
         raw = [Fraction(rng.randint(1, 30), rng.randint(1, 7)) for _ in range(b)]
         sizes = [r * scale / sum(raw) for r in raw]
     profile = BagProfile(sizes)
-    expected = former_probe(m, b, profile)
-    assert adversary_optima(m, b, profile) == expected
-    assert lower_bound_probe(m, b, profile) == max(expected)
+    assert lower_bound_probe(m, b, profile) == max(former_probe(m, b, profile))
 
 
 # The grids of the oracle-cert benchmark, 1,357 profiles, and three more of the lower-bound
@@ -224,22 +247,23 @@ def test_probe_is_the_greatest_optimum_on_every_integer_profile(m, b, count):
     profiles = [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
     assert len(profiles) == count
     for profile in profiles:
-        assert lower_bound_probe(m, b, profile) == max(adversary_optima(m, b, profile))
+        assert lower_bound_probe(m, b, profile) == max(former_probe(m, b, profile))
 
 
-def test_optima_default_to_the_sand_profile():
+def test_default_probe_is_the_former_per_configuration_oracle():
     for m, b in [(1, 3), (2, 4), (3, 3), (4, 2)]:
-        profile = sand_bags(m, b, m**b)
-        assert adversary_optima(m, b) == adversary_optima(m, b, profile) == former_probe(m, b, profile)
+        assert lower_bound_probe(m, b) == max(former_probe(m, b, sand_bags(m, b, m**b)))
 
 
-def test_probe_refuses_oracle_sizes_before_the_skeleton(monkeypatch):
-    def no_skeleton(machines, bags):
-        raise AssertionError("skeleton built before the size check")
-    monkeypatch.setattr(sand, "geometric_skeleton", no_skeleton)
+def test_probe_refuses_oracle_sizes_before_the_profile(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("profile or configurations built before the size check")
+    monkeypatch.setattr(sand, "sand_bags", refuse)
+    monkeypatch.setattr(sand, "_adversary_speeds", refuse)
     for m, b in [(9, 2), (2, 17), (3000, 3000)]:
-        with pytest.raises(SizeLimit):
-            lower_bound_probe(m, b, BagProfile([1] * b))
+        for profile in (None, BagProfile([1] * b)):
+            with pytest.raises(SizeLimit):
+                lower_bound_probe(m, b, profile)
 
 
 @pytest.fixture
@@ -250,38 +274,38 @@ def str_digits_640():
     sys.set_int_max_str_digits(limit)
 
 
-def test_skeleton_refuses_unprintable_scales(str_digits_640):
+def test_configs_refuse_unprintable_scales(str_digits_640):
     # 10**639 has 640 digits and prints; 10**640 has 641 and does not
-    assert len(str(geometric_skeleton(10, 639).scale)) == 640
+    assert len(str(sum(adversary_configs(10, 639)[0].speeds))) == 640
     with pytest.raises(SizeLimit):
-        geometric_skeleton(10, 640)
+        adversary_configs(10, 640)
     # near the boundary the power is compared exactly: 3**1341 < 10**640 <= 3**1342
     assert 3**1341 < 10**640 <= 3**1342
-    geometric_skeleton(3, 1341)
+    adversary_configs(3, 1341)
     with pytest.raises(SizeLimit):
-        geometric_skeleton(3, 1342)
+        adversary_configs(3, 1342)
     with pytest.raises(SizeLimit):
         sand_bags(3, 1342, 1)
-    # a single machine's scale is 1, but it still holds b entries: it takes the counts two machines
-    # take, and 2**2126 has 640 digits, 2**2127 has 641
-    assert len(geometric_skeleton(1, 2126).weights) == 2126
+    # a single machine's scale is 1, but its profile still holds b entries: it takes the counts two
+    # machines take, and 2**2126 has 640 digits, 2**2127 has 641
+    assert adversary_configs(1, 2126) == [SpeedProfile([1])]
     assert sand_bags(1, 2126, 1).sizes == (1,) + (0,) * 2125
-    for build in (lambda: geometric_skeleton(1, 2127), lambda: sand_bags(1, 2127, 1)):
+    for build in (lambda: adversary_configs(1, 2127), lambda: sand_bags(1, 2127, 1)):
         with pytest.raises(SizeLimit, match=r"^2127 bags on a single machine: .* at most 640 decimal"):
             build()
     assert sand_robustness(1, 2127) == 1
 
 
-def test_skeleton_refuses_huge_scales_at_once():
+def test_configs_refuse_huge_scales_at_once():
     start = time.perf_counter()
     for m, b in [(3000, 3000), (10**6, 10**6), (2, 10**9), (1, 10**12)]:
         with pytest.raises(SizeLimit):
-            geometric_skeleton(m, b)
+            adversary_configs(m, b)
         with pytest.raises(SizeLimit):
             sand_bags(m, b, 1)
     assert time.perf_counter() - start < 0.5
     # the m = 1 refusal names the bag count asked for, not a two-machine scale 2**b
-    for build in (lambda: geometric_skeleton(1, 10**12), lambda: sand_bags(1, 10**12, 1)):
+    for build in (lambda: adversary_configs(1, 10**12), lambda: sand_bags(1, 10**12, 1)):
         with pytest.raises(SizeLimit, match=r"^1000000000000 bags on a single machine: ") as refused:
             build()
         assert "**" not in str(refused.value)
