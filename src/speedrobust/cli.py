@@ -4,11 +4,11 @@ Every subcommand except ``run`` prints structured data: JSON by default, CSV
 with ``--format csv`` (``tables`` defaults to CSV since its tables exist to be
 pasted into other tools).  ``run`` prints one summary line per campaign of
 :data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by its failure
-records as one JSON object per line, then the verdict; the campaigns run in a
-pool of one process per usable CPU, at most one per campaign.  Exit status is
-0 on success, 1 when a verification, assignment or bag build reports failure
-or standard output closes early, 2 on usage errors.  Rationals on the command
-line are ``p/q`` or plain integers; float syntax is rejected.
+records as one JSON object per line, then the verdict; the campaigns run one
+after another in this process, in table order.  Exit status is 0 on success,
+1 when a verification, assignment or bag build reports failure or standard
+output closes early, 2 on usage errors.  Rationals on the command line are
+``p/q`` or plain integers; float syntax is rejected.
 """
 
 from __future__ import annotations
@@ -16,11 +16,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import multiprocessing
 import os
-import select
 import sys
-from concurrent.futures import ProcessPoolExecutor, wait
 from fractions import Fraction
 from functools import partial
 
@@ -37,7 +34,7 @@ from .numerics import decimal_string, exact_factor, exact_rational, format_ratio
 from .pebbles import pebbles_bags
 from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
 from .second_stage import greedy_assignment, integral_assignment, optimal_second_stage
-from .verify import CAMPAIGNS, Campaign
+from .verify import CAMPAIGNS
 
 
 def _rational(text: str, convert=parse_rational) -> Fraction:
@@ -214,56 +211,25 @@ def _cmd_tables(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set, or the CPU count where there is none."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _reader_left(stream) -> bool:
-    """Whether ``stream`` writes to a pipe whose reader has gone: poll() flags its write end."""
-    try:
-        poller = select.poll()
-        poller.register(stream, 0)  # error conditions are reported whatever the mask
-    except (AttributeError, OSError, ValueError):  # no poll(), or no descriptor
-        return False
-    return bool(poller.poll(0))
-
-
 def _cmd_run(args) -> int:
     unknown = [name for name in args.names if name not in CAMPAIGNS]
     if unknown:
         raise ValueError(f"unknown campaign {', '.join(unknown)}; choose from {', '.join(CAMPAIGNS)}")
-    selected = {name: campaign for name, campaign in CAMPAIGNS.items()
-                if not args.names or name in args.names}
     clean = True
-    # Whole campaigns go to the workers: their cells share per-campaign state.  Spawned
-    # workers import the package afresh, so each entry travels whole, by value.
-    pool = ProcessPoolExecutor(min(_usable_cpus(), len(selected)),
-                               mp_context=multiprocessing.get_context("spawn"))
-    try:
-        futures = [pool.submit(Campaign.run, campaign) for campaign in selected.values()]
-        for (name, campaign), future in zip(selected.items(), futures):
-            while not wait([future], timeout=0.1).done:  # a reader that left stops the run now
-                if _reader_left(sys.stdout):
-                    raise BrokenPipeError
-            report = future.result()
-            met = campaign.meets(report)
-            clean &= met
-            expected = "a witness" if campaign.witness else "clean"
-            print(f"{name:<17} : {'ok' if met else 'MISSED'} (expects {expected}) "
-                  f"checked={report.checked} failures={len(report.failures)} "
-                  f"elapsed={report.elapsed_ms}ms", flush=True)
-            if not met:
-                for record in report.failures:
-                    print(json.dumps(record, sort_keys=True, default=str), flush=True)
-    except BaseException:  # as when the reader left early (| head): stop the running campaigns
-        for worker in list(pool._processes.values()):  # terminate_workers() is new in 3.14
-            worker.terminate()
-        raise
-    finally:  # and cancel the queued ones
-        pool.shutdown(cancel_futures=True)
+    for name, campaign in CAMPAIGNS.items():
+        if args.names and name not in args.names:
+            continue
+        report = campaign.run()
+        met = campaign.meets(report)
+        clean &= met
+        expected = "a witness" if campaign.witness else "clean"
+        # A reader that left (| head) makes this print raise, before the next campaign starts.
+        print(f"{name:<17} : {'ok' if met else 'MISSED'} (expects {expected}) "
+              f"checked={report.checked} failures={len(report.failures)} "
+              f"elapsed={report.elapsed_ms}ms", flush=True)
+        if not met:
+            for record in report.failures:
+                print(json.dumps(record, sort_keys=True, default=str), flush=True)
     print("ALL CLEAN" if clean else "FAILURES FOUND", flush=True)
     return 0 if clean else 1
 

@@ -3,10 +3,10 @@
 Campaigns return a :class:`VerificationReport` rather than raising: failures
 are data.  A report with an empty failure list is the finite certificate that
 the swept claim holds on the stated grid.  All sweeps are deterministic for
-fixed inputs (including seeds) and run in the calling process; campaigns are
-independent of each other, so ``speedrobust run`` spreads whole campaigns over
-processes.  :data:`CAMPAIGNS` is the one definition of the certifying
-campaigns, their grids and their expected outcomes.
+fixed inputs (including seeds) and run in the calling process, as does
+``speedrobust run``, one campaign after another.  :data:`CAMPAIGNS` is the one
+definition of the certifying campaigns, their grids and their expected
+outcomes.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def _sand_tightness(m_max: int, trials: int, seed: int) -> VerificationReport:
     """
     def cell(m: int, b: int) -> VerificationReport:
         report = verify_sand_upper(m, b, trials, seed)
-        probe = lower_bound_probe(m, b, sand_bags(m, b, m**b))
+        probe = lower_bound_probe(m, b)  # of the sand profile
         if probe != sand_robustness(m, b):
             report.failures.append({"kind": "probe", "probe": format_rational(probe),
                                     "reason": "the probe is not the tight factor"})
@@ -402,10 +402,16 @@ def _lower_bound(cells: list[tuple[int, int]]) -> VerificationReport:
     each.  The least probe must equal the tight factor: below it a profile
     beats the bound, above it the bound is not attained.  A cell where it
     differs fails once, naming the first profile with the least probe.
+    Partitions are non-negative and non-increasing, so each profile is built
+    unchecked, zero-padded to b, from one table of sizes per cell.
     """
     def cell(m: int, b: int) -> VerificationReport:
-        probes = [(lower_bound_probe(m, b, BagProfile(parts + (0,) * (b - len(parts)))), parts)
-                  for parts in _partitions(m**b, b, m**b)]
+        size = [Fraction(i) for i in range(m**b + 1)]
+        zeros = (size[0],) * b
+        probes = []
+        for parts in _partitions(m**b, b, m**b):
+            profile = BagProfile._trusted(tuple(map(size.__getitem__, parts)) + zeros[len(parts):])
+            probes.append((lower_bound_probe(m, b, profile), parts))
         least, witness = min(probes, key=lambda probe: probe[0])
         failures = [] if least == sand_robustness(m, b) else [{
             "bags": list(witness), "probe": format_rational(least),

@@ -62,6 +62,7 @@ WALK_TESTS = (
 )
 PARTITION_TESTS = ("tests/test_verify.py::test_partition_count_matches_the_table_loop",)
 SEARCH_TESTS = ("tests/test_second_stage.py::test_integer_search_matches_fraction_search",)
+CLOSED_TESTS = ("tests/test_run.py::test_a_closed_stdout_exits_one_without_an_error_line",)
 THRESHOLD_TESTS = (
     "tests/test_second_stage.py::test_thresholded_search_is_the_plain_search_until_it_can_stop",
 )
@@ -133,6 +134,16 @@ MUTANTS = [
     Mutant(VERIFY, "(sizes, size_unit * scale,", "(sizes, size_unit,", DRAW_TESTS, "killed"),
     Mutant(MODEL, "load * speed.denominator", "load",
            ("tests/test_model.py::test_integer_makespan_matches_the_fraction_loop",), "killed"),
+    # The campaign runner's verdict over all campaigns, and a reader that left (| head): exit 1
+    # with nothing on stderr, and the exit flush sent to devnull.
+    Mutant(CLI, "clean &= met", "clean = met",
+           ("tests/test_run.py::test_a_missed_expectation_fails_the_run",), "killed"),
+    Mutant(CLI, "except BrokenPipeError:", "except ConnectionResetError:", CLOSED_TESTS, "killed"),
+    Mutant(CLI, "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass", CLOSED_TESTS,
+           "killed"),
+    # The lower-bound campaign's unchecked profiles, zero-padded to b bags.
+    Mutant(VERIFY, "map(size.__getitem__, parts)) + zeros[len(parts):]", "map(size.__getitem__, parts))",
+           ("tests/test_verify.py::test_multi_cell_campaigns_tag_each_failure_with_its_cell",), "killed"),
     # The argument rule: a factor of 0 is refused.
     Mutant(NUMERICS, "if value <= 0 if least is None else value < least:",
            "if value < 0 if least is None else value < least:",

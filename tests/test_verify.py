@@ -233,6 +233,23 @@ def test_multi_cell_campaigns_tag_each_failure_with_its_cell(monkeypatch):
     assert probes == [[m, b] for m in range(2, 5) for b in range(1, 2 * m + 1)]
 
 
+@pytest.mark.parametrize("m,b", [(2, 2), (2, 3), (3, 3), (2, 4)])
+def test_lower_bound_probes_the_validated_profile_of_every_partition(monkeypatch, m, b):
+    # the campaign builds its profiles unchecked: each must be the one BagProfile validates
+    probed = []
+
+    def recording(machines, bags, profile=None):
+        probed.append(profile)
+        return probe(machines, bags, profile)
+
+    probe = verify.lower_bound_probe
+    monkeypatch.setattr(verify, "lower_bound_probe", recording)
+    report = verify._lower_bound([(m, b)])
+    assert report.failures == [] and report.checked == len(probed)
+    assert probed == [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
+    assert all(type(size) is Fraction for profile in probed for size in profile.sizes)
+
+
 def test_robustness_campaign_known_grids():
     for n, m in [(13, 10), (7, 7), (9, 4)]:
         report = verify_bricks_robustness(n, m)
