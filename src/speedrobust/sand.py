@@ -132,6 +132,23 @@ def lower_bound_probe(machines: int, bags: int, profile: BagProfile | None = Non
     sand profile the result is exactly the tight robustness factor; for any
     other profile it can only be larger.  Raises SizeLimit beyond the
     oracle's caps (16 bags, 8 machines) before it builds anything.
+    """
+    exact_ints(1, machines=machines, bags=bags)
+    if profile is not None and not isinstance(profile, BagProfile):
+        raise ValueError(f"profile must be a BagProfile, got {type(profile).__name__}")
+    _check_oracle_size(bags, machines)
+    scale = machines**bags
+    profile = sand_bags(machines, bags, scale) if profile is None else profile
+    if len(profile.sizes) != bags:
+        raise ScaleMismatch(f"profile has {len(profile.sizes)} bags, expected {bags}")
+    scaled, denom = _to_common_ints(profile.sizes)
+    if sum(scaled) != scale * denom:
+        raise ScaleMismatch(f"profile sums to {Fraction(sum(scaled), denom)}, expected scale {scale}")
+    return _probe([a for a in scaled if a], list(_adversary_speeds(machines, bags)), denom)
+
+
+def _probe(sizes: list[int], configs: list[list[int]], denom: int) -> Fraction:
+    """Greatest optimum over ``configs`` of positive non-increasing ``sizes`` / ``denom`` summing to m**b.
 
     Only the maximum is needed, so the probe keeps a running maximum M as
     an integer pair and never searches further than M requires:
@@ -152,21 +169,7 @@ def lower_bound_probe(machines: int, bags: int, profile: BagProfile | None = Non
     optimum, and after a configuration is skipped or searched M is at least
     its optimum.  The result is the greatest optimum exactly.
     """
-    exact_ints(1, machines=machines, bags=bags)
-    if profile is not None and not isinstance(profile, BagProfile):
-        raise ValueError(f"profile must be a BagProfile, got {type(profile).__name__}")
-    _check_oracle_size(bags, machines)
-    scale = machines**bags
-    if profile is None:
-        profile = sand_bags(machines, bags, scale)
-    if len(profile.sizes) != bags:
-        raise ScaleMismatch(f"profile has {len(profile.sizes)} bags, expected {bags}")
-    scaled, denom = _to_common_ints(profile.sizes)
-    total = sum(scaled)
-    if total != scale * denom:
-        raise ScaleMismatch(f"profile sums to {Fraction(total, denom)}, expected scale {scale}")
-    sizes = [a for a in scaled if a]
-    configs = list(_adversary_speeds(machines, bags))
+    total = sum(sizes)
     top, unit = denom, 1  # the fluid bound total / scale, since every configuration sums to the scale
     prefixes = list(accumulate(sizes))
     for speeds in configs:

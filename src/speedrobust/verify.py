@@ -15,15 +15,16 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from heapq import heappush, heapreplace
 from itertools import accumulate
 from typing import Callable, Iterator, NamedTuple
 
 from .bricks import BRICK_ROBUSTNESS, _coin_totals, robust_bags
-from .model import BagProfile, SpeedProfile
+from .model import SpeedProfile
 from .numerics import _to_common_ints, exact_factor, exact_ints, format_rational
-from .sand import adversary_configs, lower_bound_probe, sand_bags, sand_robustness
-from .second_stage import _capacity_costs, _coin_costs, _coin_counterexample, _largest_first
+from .sand import _adversary_speeds, _probe, adversary_configs, lower_bound_probe, sand_bags, sand_robustness
+from .second_stage import _capacity_costs, _check_oracle_size, _coin_costs, _coin_counterexample, _largest_first
 
 RANDOM_SPEED_GRAIN = 1000  # raw integer speeds are drawn from [0, this]
 EXHAUSTIVE_PROFILES = 10**6  # larger robustness grids get the reachability test alone
@@ -186,14 +187,14 @@ def enumerate_integral_speed_profiles(total: int, machines: int) -> Iterator[Spe
 
     These are the partitions of ``total`` into at most ``machines`` parts,
     zero-padded; each is emitted exactly once, largest first part first.
-    Speeds are shared ``Fraction`` objects from one table per call, and the
-    partitions already meet every rule of :class:`SpeedProfile`, so profiles
-    are built unchecked.  The arguments are checked at the call, not at the first ``next``.
+    Speeds are ``Fraction`` objects shared within a call, each built at its
+    first use; the partitions meet every rule of :class:`SpeedProfile`, so
+    profiles are built unchecked.  The arguments are checked at the call, not at the first ``next``.
     """
     exact_ints(1, total=total, machines=machines)
-    speed = [Fraction(i) for i in range(total + 1)]
-    zeros = (speed[0],) * machines
-    return (_speed_profile(tuple(map(speed.__getitem__, parts)) + zeros[len(parts):])
+    speed = cache(Fraction)
+    zeros = (speed(0),) * machines
+    return (_speed_profile(tuple(map(speed, parts)) + zeros[len(parts):])
             for parts in _partitions(total, machines, total))
 
 
@@ -402,16 +403,13 @@ def _lower_bound(cells: list[tuple[int, int]]) -> VerificationReport:
     each.  The least probe must equal the tight factor: below it a profile
     beats the bound, above it the bound is not attained.  A cell where it
     differs fails once, naming the first profile with the least probe.
-    Partitions are non-negative and non-increasing, so each profile is built
-    unchecked, zero-padded to b, from one table of sizes per cell.
+    A profile is also a first stage for m**b unit jobs, whose optimum is 1 on
+    every configuration: a clean cell proves none beats the bound, b < m too.
     """
     def cell(m: int, b: int) -> VerificationReport:
-        size = [Fraction(i) for i in range(m**b + 1)]
-        zeros = (size[0],) * b
-        probes = []
-        for parts in _partitions(m**b, b, m**b):
-            profile = BagProfile._trusted(tuple(map(size.__getitem__, parts)) + zeros[len(parts):])
-            probes.append((lower_bound_probe(m, b, profile), parts))
+        _check_oracle_size(b, m)
+        configs = list(_adversary_speeds(m, b))
+        probes = [(_probe(parts, configs, 1), parts) for parts in _partitions(m**b, b, m**b)]
         least, witness = min(probes, key=lambda probe: probe[0])
         failures = [] if least == sand_robustness(m, b) else [{
             "bags": list(witness), "probe": format_rational(least),

@@ -66,6 +66,8 @@ CLOSED_TESTS = ("tests/test_run.py::test_a_closed_stdout_exits_one_without_an_er
 THRESHOLD_TESTS = (
     "tests/test_second_stage.py::test_thresholded_search_is_the_plain_search_until_it_can_stop",
 )
+COUNTEREXAMPLE_TESTS = ("tests/test_second_stage.py::test_coin_counterexample_matches_the_partition_walk",)
+SAND_TESTS = ("tests/test_verify.py::test_sand_campaign_random_trials_match_greedy_on_speed_profiles",)
 
 MUTANTS = [
     # The probe's prefix bounds and its skip of configurations settled by the fastest machine.
@@ -141,9 +143,22 @@ MUTANTS = [
     Mutant(CLI, "except BrokenPipeError:", "except ConnectionResetError:", CLOSED_TESTS, "killed"),
     Mutant(CLI, "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())", "pass", CLOSED_TESTS,
            "killed"),
-    # The lower-bound campaign's unchecked profiles, zero-padded to b bags.
-    Mutant(VERIFY, "map(size.__getitem__, parts)) + zeros[len(parts):]", "map(size.__getitem__, parts))",
-           ("tests/test_verify.py::test_multi_cell_campaigns_tag_each_failure_with_its_cell",), "killed"),
+    # The lower-bound campaign's partitions, probed against the whole adversary family.
+    Mutant(VERIFY, "_probe(parts, configs, 1)", "_probe(parts, configs[1:], 1)",
+           ("tests/test_verify.py::test_lower_bound_builds_no_bag_profile",), "killed"),
+    # The reachability test's cap, and its counterexample's costs added back to a largest cap.
+    Mutant(SECOND, "if cost > -(-left // machines):", "if cost >= -(-left // machines):",
+           COUNTEREXAMPLE_TESTS, "killed"),
+    Mutant(SECOND, "if cost > -(-left // machines):", "if cost > left // machines:", COUNTEREXAMPLE_TESTS,
+           "killed"),
+    Mutant(SECOND, "caps[caps.index(max(caps))] += earlier", "caps[caps.index(min(caps))] += earlier",
+           COUNTEREXAMPLE_TESTS, "killed"),
+    # The sand sweep's adversary family, the unit of its speeds, and a failing trial's recorded speeds.
+    Mutant(VERIFY, "configs = adversary_configs(machines, bags)", "configs = adversary_configs(machines, bags)[:0]",
+           SAND_TESTS, "killed"),
+    Mutant(VERIFY, "_capacity_costs(sizes, size_unit, speeds, unit, rho)",
+           "_capacity_costs(sizes, size_unit, speeds, unit * 2, rho)", SAND_TESTS, "killed"),
+    Mutant(VERIFY, "Fraction(r * scale, unit)", "Fraction(r * scale)", SAND_TESTS, "killed"),
     # The argument rule: a factor of 0 is refused.
     Mutant(NUMERICS, "if value <= 0 if least is None else value < least:",
            "if value < 0 if least is None else value < least:",

@@ -244,10 +244,16 @@ def test_probe_equals_former_per_configuration_oracle(m, b, integral, seed):
                                          (2, 5, 831), (4, 3, 374), (5, 3, 1365), (3, 4, 4410),
                                          (6, 3, 3997)])
 def test_probe_is_the_greatest_optimum_on_every_integer_profile(m, b, count):
-    profiles = [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
-    assert len(profiles) == count
-    for profile in profiles:
-        assert lower_bound_probe(m, b, profile) == max(former_probe(m, b, profile))
+    # The lower-bound campaign hands each partition, unpadded, to the kernel past the public
+    # checks: it must give the probe of the profile BagProfile validates.
+    configs = list(sand._adversary_speeds(m, b))
+    partitions = list(_partitions(m**b, b, m**b))
+    assert len(partitions) == count
+    for parts in partitions:
+        profile = BagProfile(parts + (0,) * (b - len(parts)))
+        probe = lower_bound_probe(m, b, profile)
+        assert probe == max(former_probe(m, b, profile))
+        assert sand._probe(parts, configs, 1) == probe
 
 
 def test_default_probe_is_the_former_per_configuration_oracle():

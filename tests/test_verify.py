@@ -1,18 +1,19 @@
 import json
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_totals, bricks_by_cost, solution_size
+from speedrobust.bricks import BRICK_ROBUSTNESS, _coin_totals, bricks_bags, bricks_by_cost, solution_size
 from speedrobust.model import BagProfile, SpeedProfile
 from speedrobust.numerics import format_rational
 from speedrobust.sand import adversary_configs, sand_bags, sand_robustness
 from speedrobust import verify
 from speedrobust.bricks import robust_bags
-from speedrobust.second_stage import _largest_first, greedy_assignment, integral_assignment
-from speedrobust.second_stage import optimal_second_stage
+from speedrobust.second_stage import _coin_costs, _coin_counterexample, _largest_first, greedy_assignment
+from speedrobust.second_stage import integral_assignment, optimal_second_stage
 from speedrobust.verify import (
     CAMPAIGNS,
     EXHAUSTIVE_PROFILES,
@@ -52,6 +53,23 @@ def test_enumeration_counts_match_partition_recurrence():
         for m in range(1, 7):
             enumerated = sum(1 for _ in enumerate_integral_speed_profiles(n, m))
             assert enumerated == dp_count(n, m) == partition_count(n, m)
+
+
+def test_enumeration_builds_each_speed_at_its_first_use(monkeypatch):
+    # No table of total + 1 speeds: the first profile of a huge total builds two Fractions.
+    calls = 0
+
+    def counting(value):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("more than 1,000 speeds built for one profile")
+        return Fraction(value)
+
+    monkeypatch.setattr(verify, "Fraction", counting)
+    profile = next(enumerate_integral_speed_profiles(10**9, 2))
+    assert profile.speeds == (10**9, 0)
+    assert all(type(s) is Fraction for s in profile.speeds)
 
 
 def test_enumerated_profiles_are_unique_and_sorted():
@@ -233,21 +251,16 @@ def test_multi_cell_campaigns_tag_each_failure_with_its_cell(monkeypatch):
     assert probes == [[m, b] for m in range(2, 5) for b in range(1, 2 * m + 1)]
 
 
-@pytest.mark.parametrize("m,b", [(2, 2), (2, 3), (3, 3), (2, 4)])
-def test_lower_bound_probes_the_validated_profile_of_every_partition(monkeypatch, m, b):
-    # the campaign builds its profiles unchecked: each must be the one BagProfile validates
-    probed = []
+@pytest.mark.parametrize("m,b,count", [(2, 2, 3), (2, 3, 10), (3, 3, 75), (2, 4, 64), (4, 3, 374)])
+def test_lower_bound_builds_no_bag_profile(monkeypatch, m, b, count):
+    # The campaign hands each partition to the probe's kernel as it is.
+    def refuse(*args):
+        raise AssertionError("the lower-bound campaign built a BagProfile")
 
-    def recording(machines, bags, profile=None):
-        probed.append(profile)
-        return probe(machines, bags, profile)
-
-    probe = verify.lower_bound_probe
-    monkeypatch.setattr(verify, "lower_bound_probe", recording)
+    monkeypatch.setattr(BagProfile, "__init__", refuse)
+    monkeypatch.setattr(BagProfile, "_trusted", refuse)
     report = verify._lower_bound([(m, b)])
-    assert report.failures == [] and report.checked == len(probed)
-    assert probed == [BagProfile(parts + (0,) * (b - len(parts))) for parts in _partitions(m**b, b, m**b)]
-    assert all(type(size) is Fraction for profile in probed for size in profile.sizes)
+    assert report.ok and report.checked == count
 
 
 def test_robustness_campaign_known_grids():
@@ -399,6 +412,22 @@ def test_reachability_mode_agrees_with_the_walk(monkeypatch, rho):
         assert all(f in walk.failures for f in decided.failures), cell
 
 
+@settings(max_examples=400, deadline=None)
+@given(m=st.integers(1, 10), data=st.data(),
+       rho=st.sampled_from([BRICK_ROBUSTNESS, Fraction(3, 2), Fraction(159, 100), Fraction(5, 4), Fraction(2)]))
+def test_construction_that_reaches_n_places_its_front_filled_bags_on_every_profile(m, rho, data):
+    # Wherever the coin sizes reach n, filling them from the front keeps every cost at or
+    # below its cap, so the reachability test finds no profile the coin assigner fails on.
+    b = data.draw(st.sampled_from([b for b in (m - 1, m, m + 1, 2 * m + 1) if b >= 1]), label="b")
+    n = data.draw(st.integers(1, 60 * m), label="n")
+    solution = bricks_bags(n, m, b, rho)
+    assume(solution.successful)
+    starts = accumulate(solution.bag_sizes, initial=0)
+    sizes = [max(0, min(a, n - s)) for a, s in zip(solution.bag_sizes, starts)]
+    assert sum(sizes) == n
+    assert _coin_counterexample(_coin_costs(sizes, rho), n, m) is None
+
+
 def test_sand_campaign_refuses_negative_trials():
     with pytest.raises(ValueError, match="trials must be >= 0"):
         verify_sand_upper(3, 5, trials=-1)
@@ -475,30 +504,33 @@ def _randint_trials(seed, machines, trials):
 def test_sand_campaign_random_trials_match_greedy_on_speed_profiles(monkeypatch, machines, bags):
     # Shaved below the tight factor every adversary configuration and some random
     # trials fail; the one kernel path must fail on the same cases, in the same
-    # order, and record the same speeds as the public assigner.
-    shaved = sand_robustness(machines, bags) * Fraction(9, 10)
-    monkeypatch.setattr(verify, "sand_robustness", lambda m, b: shaved)
+    # order, and record the same speeds as the public assigner.  Every configuration
+    # is tight for the sand bags, so no factor splits them: the tight factor itself,
+    # where every case passes, checks the adversary cases from the other side.
+    tight = sand_robustness(machines, bags)
     scale = machines**bags
     profile = sand_bags(machines, bags, scale)
     configs = adversary_configs(machines, bags)
     reason = "greedy assignment failed at the tight factor"
-    for seed in (5, verify.CAMPAIGN_SEED):
-        expected = [{"kind": "adversary", "config": k,
-                     "speeds": [format_rational(s) for s in config.speeds], "reason": reason}
-                    for k, config in enumerate(configs)
-                    if greedy_assignment(profile, config, shaved) is None]
-        assert len(expected) == len(configs)
-        for t, raw in enumerate(_randint_trials(seed, machines, 200)):
-            speeds = SpeedProfile(Fraction(r * scale, sum(raw)) for r in raw)
-            if greedy_assignment(profile, speeds, shaved) is None:
-                expected.append({"kind": "random", "trial": t,
-                                 "speeds": [format_rational(s) for s in speeds.speeds],
-                                 "reason": reason})
-        report = verify_sand_upper(machines, bags, trials=200, seed=seed)
-        assert report.failures == expected
-        assert report.checked == len(configs) + 200
-        if (machines, bags) in [(3, 5), (4, 2), (2, 3)]:  # cells where some trials fail, not all
-            assert 0 < len(expected) - bags < 200, len(expected)
+    for rho in (tight * Fraction(9, 10), tight):
+        monkeypatch.setattr(verify, "sand_robustness", lambda m, b: rho)
+        for seed in (5, verify.CAMPAIGN_SEED):
+            expected = [{"kind": "adversary", "config": k,
+                         "speeds": [format_rational(s) for s in config.speeds], "reason": reason}
+                        for k, config in enumerate(configs)
+                        if greedy_assignment(profile, config, rho) is None]
+            assert len(expected) == (len(configs) if rho < tight else 0)
+            for t, raw in enumerate(_randint_trials(seed, machines, 200)):
+                speeds = SpeedProfile(Fraction(r * scale, sum(raw)) for r in raw)
+                if greedy_assignment(profile, speeds, rho) is None:
+                    expected.append({"kind": "random", "trial": t,
+                                     "speeds": [format_rational(s) for s in speeds.speeds],
+                                     "reason": reason})
+            report = verify_sand_upper(machines, bags, trials=200, seed=seed)
+            assert report.failures == expected
+            assert report.checked == len(configs) + 200
+            if rho < tight and (machines, bags) in [(3, 5), (4, 2), (2, 3)]:  # some trials fail, not all
+                assert 0 < len(expected) - bags < 200, len(expected)
 
 
 def test_sand_trials_draw_what_randint_draws(monkeypatch):
