@@ -2,19 +2,22 @@
 
 Every subcommand except ``run`` prints structured data: JSON by default, CSV
 with ``--format csv`` (``tables`` defaults to CSV since its tables exist to be
-pasted into other tools).  ``run`` prints one summary line per campaign of
-:data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by its failure
-records as one JSON object per line, then the verdict; the campaigns run one
-after another in this process, in table order.  Exit status is 0 on success,
-1 when a verification, assignment or bag build reports failure or standard
-output closes early, 2 on usage errors.  Rationals on the command line are
-``p/q`` or plain integers; float syntax is rejected.
+pasted into other tools).  Such a subcommand returns its rows, and ``main``
+renders the whole document before it writes any of it, so a command that
+fails leaves nothing on standard output.  ``run`` prints one summary line per
+campaign of :data:`~speedrobust.verify.CAMPAIGNS`, each missed one followed by
+its failure records as one JSON object per line, then the verdict; the
+campaigns run one after another in this process, in table order.  Exit status
+is 0 on success, 1 when a verification, assignment or bag build reports
+failure or standard output closes early, 2 on usage errors.  Rationals on the
+command line are ``p/q`` or plain integers; float syntax is rejected.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import sys
@@ -62,7 +65,8 @@ def _parse_values(text: str) -> list[Fraction]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _json_value(value: Fraction | int):
+def _json_value(value: Fraction):
+    """JSON's hook for a rational in a row: a whole value as an integer, any other as ``"p/q"``."""
     return value.numerator if value.denominator == 1 else format_rational(value)
 
 
@@ -89,31 +93,28 @@ def _check_options(args, flag: str, table: dict[str, tuple[tuple[str, ...], ...]
             raise ValueError(f"--{flag} {choice} does not read --{option}")
 
 
-def _emit_rows(rows: list[dict], fmt: str, stream) -> None:
+def _rendered(rows: list[dict], fmt: str) -> str:
+    """The whole document: indented JSON, or CSV whose columns are every row's keys in first-seen order."""
     if fmt == "json":
-        json.dump(rows, stream, indent=2, default=str)
-        stream.write("\n")
-        return
-    columns: list[str] = []
-    for row in rows:
-        for key in row:
-            if key not in columns:
-                columns.append(key)
-    writer = csv.DictWriter(stream, fieldnames=columns, lineterminator="\n")
+        return json.dumps(rows, indent=2, default=_json_value) + "\n"
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(dict.fromkeys(key for row in rows for key in row)),
+                            lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
+    return text.getvalue()
 
 
 # -- subcommands ----------------------------------------------------------------
 
-def _cmd_bags(args) -> int:
+def _cmd_bags(args) -> tuple[list[dict], bool]:
     mode = args.mode
     _check_options(args, "mode", {"sand": (("total",), ()), "bricks": (("n",), ("rho",)),
                                   "pebbles": (("jobs", "rho"), ()), "auto": (("n",), ())})
     ok = True
     if mode == "sand":
         profile = sand_bags(args.m, args.b, args.total)
-        rows = [{"bag": i, "size": _json_value(a)} for i, a in enumerate(profile.sizes)]
+        rows = [{"bag": i, "size": a} for i, a in enumerate(profile.sizes)]
     elif mode == "bricks":
         solution = bricks_bags(args.n, args.m, args.b, args.rho or BRICK_ROBUSTNESS)
         rows = [
@@ -125,18 +126,17 @@ def _cmd_bags(args) -> int:
     elif mode == "pebbles":
         result = pebbles_bags(Instance(args.jobs, args.m, args.b), args.rho)
         rows = [
-            {"bag": i, "size": _json_value(a), "packed_all": result.packed_all}
+            {"bag": i, "size": a, "packed_all": result.packed_all}
             for i, a in enumerate(result.bag_sizes)
         ]
         ok = result.packed_all
     else:  # auto
         profile = robust_bags(args.n, args.m, args.b)
-        rows = [{"bag": i, "size": _json_value(a)} for i, a in enumerate(profile.sizes)]
-    _emit_rows(rows, args.format or "json", sys.stdout)
-    return 0 if ok else 1
+        rows = [{"bag": i, "size": a} for i, a in enumerate(profile.sizes)]
+    return rows, ok
 
 
-def _cmd_assign(args) -> int:
+def _cmd_assign(args) -> tuple[list[dict], bool]:
     reads = ((), ("rho", "trace"))
     _check_options(args, "algo", {"greedy": reads, "integral": reads, "optimal": ((), ())})
     trace: list[dict] | None = [] if args.trace else None
@@ -151,25 +151,15 @@ def _cmd_assign(args) -> int:
     value = makespan(assignment, bags, speeds) if assignment else None
 
     ok = assignment is not None
-    rows = []
-    owners = assignment.machine_of_bag if assignment else ()
-    for k, size in enumerate(bags.sizes):
-        row = {
-            "bag": k,
-            "size": _json_value(size),
-            "machine": owners[k] if k < len(owners) else None,
-            "ok": ok,
-            "makespan": _json_value(value) if value is not None else None,
-        }
-        if trace is not None and k < len(trace):
-            row["before"] = _json_value(trace[k]["before"])
-            row["after"] = _json_value(trace[k]["after"])
-        rows.append(row)
-    _emit_rows(rows, args.format or "json", sys.stdout)
-    return 0 if ok else 1
+    owners = assignment.machine_of_bag if ok else ()
+    rows = [{"bag": k, "size": size, "machine": owners[k] if k < len(owners) else None, "ok": ok,
+             "makespan": value} for k, size in enumerate(bags.sizes)]
+    for row, step in zip(rows, trace or ()):  # a failed trace ends at the bag it could not place
+        row.update(before=step["before"], after=step["after"])
+    return rows, ok
 
 
-def _cmd_probe(args) -> int:
+def _cmd_probe(args) -> tuple[list[dict], bool]:
     profile = BagProfile(args.bags) if args.bags is not None else None
     value = lower_bound_probe(args.m, args.b, profile)
     if profile is None:
@@ -185,11 +175,10 @@ def _cmd_probe(args) -> int:
             "probe": format_rational(value),
             "tight_bound": format_rational(bound),
         })
-    _emit_rows(rows, args.format or "json", sys.stdout)
-    return 0
+    return rows, True
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args) -> tuple[list[dict], bool]:
     _check_options(args, "which", {"f": ((), ("zmax", "rho")), "surplus": ((), ("lambda-max",)),
                                    "breakpoints": ((), ("lambda-max",))})
     option, bound = ("--zmax", args.zmax) if args.which == "f" else ("--lambda-max", args.lambda_max)
@@ -207,11 +196,10 @@ def _cmd_tables(args) -> int:
                 if point.dropped_cost is not None]
     if not rows:
         raise ValueError(f"{option} {bound} gives an empty {args.which} table")
-    _emit_rows(rows, args.format or "csv", sys.stdout)
-    return 0
+    return rows, True
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> tuple[None, bool]:
     unknown = [name for name in args.names if name not in CAMPAIGNS]
     if unknown:
         raise ValueError(f"unknown campaign {', '.join(unknown)}; choose from {', '.join(CAMPAIGNS)}")
@@ -231,14 +219,13 @@ def _cmd_run(args) -> int:
             for record in report.failures:
                 print(json.dumps(record, sort_keys=True, default=str), flush=True)
     print("ALL CLEAN" if clean else "FAILURES FOUND", flush=True)
-    return 0 if clean else 1
+    return None, clean
 
 
-def _cmd_surplus(args) -> int:
+def _cmd_surplus(args) -> tuple[list[dict], bool]:
     value = normalized_surplus(args.lam)
     rows = [{"lambda": format_rational(args.lam), **_written(value, 3, "surplus")}]
-    _emit_rows(rows, args.format or "json", sys.stdout)
-    return 0
+    return rows, True
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -248,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=["json", "csv"], default=None)
+    def add_format(p, default="json"):
+        p.add_argument("--format", choices=["json", "csv"], default=default)
 
     p = sub.add_parser("bags", help="build a bag profile")
     p.add_argument("--mode", choices=["sand", "pebbles", "bricks", "auto"], required=True)
@@ -286,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", dest="lambda_max", type=int,
                    help="largest jobs-per-machine ratio (default 60)")
     p.add_argument("--rho", type=_positive_rational, help="factor of the f table (default 8/5)")
-    add_format(p)
+    add_format(p, "csv")
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("run", help="run campaigns of the certifying table; exit 1 on a miss")
@@ -311,7 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        rows, ok = args.func(args)
+        if rows is not None:  # run printed each campaign's line as it ended
+            sys.stdout.write(_rendered(rows, args.format))
+        return 0 if ok else 1
     except BrokenPipeError:
         # The reader left: write nothing more, and let the exit flush of stdout go to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -29,11 +29,14 @@ def _check_printable_scale(machines: int, bags: int) -> None:
     otherwise it has fewer than twice that many bits and is compared exactly.
     A single machine's scale is 1, but its profile still holds ``bags``
     entries, so it is refused the bag counts two machines are, and the
-    refusal names its bag count.
+    refusal names its bag count.  A limit of 0 lifts str()'s check but not
+    the cost of computing the scale, so it reads as Python's default of 4,300
+    digits, as does a Python before 3.10.7, which has no limit to read.
     """
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    limit = (getattr(sys, "get_int_max_str_digits", lambda: 0)()
+             or getattr(sys.int_info, "default_max_str_digits", 4300))
     base = max(machines, 2)
-    if not limit or bags * base.bit_length() <= 3 * limit:
+    if bags * base.bit_length() <= 3 * limit:
         return
     bound = 10**limit
     if bags * (base.bit_length() - 1) >= bound.bit_length() or base**bags >= bound:

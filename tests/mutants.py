@@ -67,6 +67,7 @@ THRESHOLD_TESTS = (
     "tests/test_second_stage.py::test_thresholded_search_is_the_plain_search_until_it_can_stop",
 )
 COUNTEREXAMPLE_TESTS = ("tests/test_second_stage.py::test_coin_counterexample_matches_the_partition_walk",)
+GOLDEN_TESTS = ("tests/test_cli.py::test_row_subcommands_keep_their_bytes",)
 SAND_TESTS = ("tests/test_verify.py::test_sand_campaign_random_trials_match_greedy_on_speed_profiles",)
 
 MUTANTS = [
@@ -159,6 +160,12 @@ MUTANTS = [
     Mutant(VERIFY, "_capacity_costs(sizes, size_unit, speeds, unit, rho)",
            "_capacity_costs(sizes, size_unit, speeds, unit * 2, rho)", SAND_TESTS, "killed"),
     Mutant(VERIFY, "Fraction(r * scale, unit)", "Fraction(r * scale)", SAND_TESTS, "killed"),
+    # The CLI's one rendering of a document: rationals in JSON through their hook, exit 1 on a
+    # failed build or assignment, and the scale guard's reading of a lifted int-to-str limit.
+    Mutant(CLI, "default=_json_value", "default=str", GOLDEN_TESTS, "killed"),
+    Mutant(CLI, "return 0 if ok else 1", "return 0", GOLDEN_TESTS, "killed"),
+    Mutant(SAND, '\n             or getattr(sys.int_info, "default_max_str_digits", 4300))', ")",
+           ("tests/test_sand.py::test_a_lifted_str_limit_guards_the_scale_at_the_default",), "killed"),
     # The argument rule: a factor of 0 is refused.
     Mutant(NUMERICS, "if value <= 0 if least is None else value < least:",
            "if value < 0 if least is None else value < least:",

@@ -377,6 +377,98 @@ def test_default_tables_keep_their_bytes(capsys, which, fmt, digest):
     assert "\r" not in out
 
 
+# Every row subcommand's document and exit code, byte for byte in both formats: a packing that
+# leaves a job, a bricks build short of n and an assignment that fails exit 1.
+@pytest.mark.parametrize("command,fmt,code,digest", [
+    ("bags --mode sand --m 2 --b 4 --total 15", "json", 0,
+     "381d47410be895696b4d3fcdc00b1227610869d58270a5c3661bdcedd1d0c581"),
+    ("bags --mode sand --m 2 --b 4 --total 15", "csv", 0,
+     "a89d2ea2de51dd046a2c126689d2d5a3df4f15844216e8ec3e07b0cec93b152b"),
+    ("bags --mode sand --m 3 --b 3 --total 1", "json", 0,
+     "8e590d49ae18c655521e72e15db3d64efb85239dabd09c4a139fe7b065db96fa"),
+    ("bags --mode sand --m 3 --b 3 --total 1", "csv", 0,
+     "19e5dbbfd958fd5a4d114a6f2840b2ffb761da6269cedf34bc353ca82284481b"),
+    ("bags --mode bricks --n 45 --m 9 --b 9 --rho 8/5", "json", 0,
+     "08eb7704023573db9db39365ed2c4f8dbdf3619d570f7de4f81fba9b574f07e9"),
+    ("bags --mode bricks --n 45 --m 9 --b 9 --rho 8/5", "csv", 0,
+     "04798533f2770a2e985943bff8ccb161b3b318b565c3f58263aabe6c136c5cba"),
+    ("bags --mode bricks --n 45 --m 9 --b 9 --rho 159/100", "json", 1,
+     "78caad9073ae6cd2f76f0c65b0ffd96b92348a8a62298de5d3adb195f2275aef"),
+    ("bags --mode bricks --n 45 --m 9 --b 9 --rho 159/100", "csv", 1,
+     "a371390ea111f2f66217348eedeae930b43fadfa33421c154eaafb96387c6d5c"),
+    ("bags --mode pebbles --m 2 --b 2 --jobs 1,1,1,1 --rho 11/6", "json", 0,
+     "086cfd2c6b18f0a7a77fbe28066b14d6d46b50bb0396361111668ef1b0604204"),
+    ("bags --mode pebbles --m 2 --b 2 --jobs 1,1,1,1 --rho 11/6", "csv", 0,
+     "db1c4ea83493c9a0113e06673cf95586f6697040eb0a4da65f661f9379d52d64"),
+    ("bags --mode pebbles --m 2 --b 3 --jobs 3/2,1,1/2,1/3,1 --rho 11/10", "json", 1,
+     "428cacfa9cd03525a634e0b33da8227f2274a7d87526cfb9e52a67ef92b75303"),
+    ("bags --mode pebbles --m 2 --b 3 --jobs 3/2,1,1/2,1/3,1 --rho 11/10", "csv", 1,
+     "d4b9f5915487f293fccd5b2e5b4c49cbb87cc36bbffd6d13969665f1dbeb3207"),
+    ("bags --mode auto --n 45 --m 9 --b 9", "json", 0,
+     "20e787bfc1074eb30672c82f953943a5dc27e8e1233cd337f5d430a2af02b688"),
+    ("bags --mode auto --n 45 --m 9 --b 9", "csv", 0,
+     "9179d1db1a4841fb070e8e42acb35f78787d40fad27a2b459fc025af53f6f98c"),
+    ("bags --mode auto --n 1000 --m 3 --b 4", "json", 0,
+     "f922cc5a2a51ab2460ba734c491b7fe4ae69e55e5c56ca77e7e46c285e08e742"),
+    ("bags --mode auto --n 1000 --m 3 --b 4", "csv", 0,
+     "3e6fafce0a2379224b863c78e2f8cad0602d75eb8077c16f8c0f87dba460d659"),
+    ("assign --algo greedy --bags 8,4,2,1 --speeds 8,7 --rho 16/15 --trace", "json", 0,
+     "3e428b39c9e46e6989a74d60fbf43bb0eae028ea4242b929842fe528530e4341"),
+    ("assign --algo greedy --bags 8,4,2,1 --speeds 8,7 --rho 16/15 --trace", "csv", 0,
+     "bca285bf3fc3f1fa503656a89d9193cde7043297d66f0c1d1996562d39299e45"),
+    ("assign --algo integral --bags 8,4,2,1 --speeds 8,7 --rho 16/15 --trace", "json", 0,
+     "99ea95f4c849d0f6df758a8a1769227a9437fd3effc258da1e88f4791d042f01"),
+    ("assign --algo integral --bags 8,4,2,1 --speeds 8,7 --rho 16/15 --trace", "csv", 0,
+     "df6b2fb81d90832279a053ac9a79339fe800239bfd83285ab96e1423637e1189"),
+    ("assign --algo optimal --bags 5/2,2,1 --speeds 3,1", "json", 0,
+     "b4300bdd27a43937f995c94272d32c01dcd413676c9775ef9c8a02c1617b006a"),
+    ("assign --algo optimal --bags 5/2,2,1 --speeds 3,1", "csv", 0,
+     "da94d3596885ff8fff5579c1d98ac0c8e8326af08450ef345a6ee7d44e61dadb"),
+    ("assign --algo greedy --bags 3,2,2 --speeds 1,1 --rho 3/2 --trace", "json", 1,
+     "b73316a1f3aadd16324a86cff8143b92fcc39b5f1af12a5cbfb3fa70c0b273b6"),
+    ("assign --algo greedy --bags 3,2,2 --speeds 1,1 --rho 3/2 --trace", "csv", 1,
+     "8ec2c6fc13dd40b8b4ae0f7d0a4a4e4380791d5a173f6bbf179bbe4e057278b7"),
+    ("probe --m 3 --b 3", "json", 0,
+     "f0f52528ee212df5d0d0d333e7418892013a53847ca5eae499bc0ff2390a372a"),
+    ("probe --m 3 --b 3", "csv", 0,
+     "7c712dbdce5b2dd9685372fca153bf7420c5d843eaeea0db3e914f07ab34c789"),
+    ("probe --m 3 --b 3 --bags 20,7,0", "json", 0,
+     "8beb3a33f123f178b0b3f3d262e59c6a10819ce17b5ea8dcee62eaafbfd25c9c"),
+    ("probe --m 3 --b 3 --bags 20,7,0", "csv", 0,
+     "bb6c5ce481a5aa670f0fc0dfbf08d4f87671b41532dc9bbc09c29857a8b44fa2"),
+    ("tables --which f --zmax 20 --rho 3/2", "json", 0,
+     "25541a3fb9dd2e407ba5b067e118de4e2fbc0685fea8b77d6af2bd89bb7c1456"),
+    ("tables --which f --zmax 20 --rho 3/2", "csv", 0,
+     "30da8e793319bd0c5c127ac03ac6740e81e58b20d641394a27f4b8f5964aabe7"),
+    ("tables --which surplus --lambda-max 20", "json", 0,
+     "bc24a781209faabdc69febf41c5e52f1f31a2ee210fa931b61139e5245c8c01c"),
+    ("tables --which surplus --lambda-max 20", "csv", 0,
+     "fa1c1d1ed0170678d3c1f5e836482612f50ea4dd0def2e481df55d53cd2c6936"),
+    ("tables --which breakpoints --lambda-max 30", "json", 0,
+     "ddac8c6f7835d4302c2136c7e134f384253085a5adcc6b6d9e2b5e101ef12539"),
+    ("tables --which breakpoints --lambda-max 30", "csv", 0,
+     "d7a93bd954828d91b106dc49878570d3bca8e1b7bc5c35ec3785a522ab9deb86"),
+    ("surplus --lam 11/3", "json", 0,
+     "f8dd916b84ebe41a6db1744ab4355697cf9da74c02236ffed9d52185e61e176e"),
+    ("surplus --lam 11/3", "csv", 0,
+     "d61ecc485b3163cc8dde0362f1bcc6a0f30b3a13febacdd14ef072d57b6c9596"),
+])
+def test_row_subcommands_keep_their_bytes(capsys, command, fmt, code, digest):
+    got, out, err = run_cli(capsys, *command.split(), "--format", fmt)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_a_value_past_the_str_limit_leaves_stdout_empty(capsys, fmt):
+    # the size n * rho = 10**8000 has more digits than str() writes; the document once stopped there,
+    # after its JSON opening or its CSV header
+    huge = str(10**4000)
+    code, out, err = run_cli(capsys, "bags", "--mode", "bricks", "--n", huge, "--m", "1", "--b", "1",
+                             "--rho", huge, "--format", fmt)
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
 def test_sand_bags_with_unprintable_scale_exit_two(capsys):
     code, out, err = run_cli(capsys, "bags", "--mode", "sand", "--m", "3000", "--b", "3000",
                              "--total", "1")

@@ -315,3 +315,22 @@ def test_configs_refuse_huge_scales_at_once():
         with pytest.raises(SizeLimit, match=r"^1000000000000 bags on a single machine: ") as refused:
             build()
         assert "**" not in str(refused.value)
+
+
+@pytest.fixture
+def str_digits_lifted():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(limit)
+
+
+def test_a_lifted_str_limit_guards_the_scale_at_the_default(str_digits_lifted):
+    # a limit of 0 lifts str()'s check, but computing a huge scale still does not end: the guard
+    # reads it as Python's default of 4,300 digits (it once returned at once and let the call run)
+    for build in (lambda: sand_robustness(10, 4300), lambda: sand_bags(10, 4300, 1),
+                  lambda: adversary_configs(10, 4300)):
+        with pytest.raises(SizeLimit, match=r"^scale 10\*\*4300 has more than 4300 decimal digits$"):
+            build()
+    assert sand_robustness(10, 4299) > 1  # 10**4299 has 4,300 digits
+    test_configs_refuse_huge_scales_at_once()  # the same cells, refused as fast
